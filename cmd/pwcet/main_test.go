@@ -446,6 +446,50 @@ func TestBatchNDJSON(t *testing.T) {
 	}
 }
 
+// targetSpecs are the sweeps of testdata/targets.golden.ndjson, in the
+// order their rows appear there: several exceedance targets per penalty
+// distribution on small programs under every mechanism, a combined and
+// a transient sweep, and 256-set sweeps (adpcm, and ud, whose none
+// reduction runs the in-tree coarsening path).
+var targetSpecs = []string{"targets-permanent", "targets-combined", "targets-transient", "targets-256"}
+
+// TestBatchTargetsGolden pins the -batch -ndjson wire bytes of
+// multi-target sweeps. The golden was recorded while every query still
+// convolved its own penalty distribution; rows of one distribution read
+// at different targets must stay byte-identical to it, whatever the
+// worker count.
+func TestBatchTargetsGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "targets.golden.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []string{"1", "4"} {
+		var got strings.Builder
+		for _, name := range targetSpecs {
+			code, stdout, stderr := runCmd(t, "-batch", filepath.Join("testdata", name+".json"), "-ndjson", "-workers", workers)
+			if code != 0 {
+				t.Fatalf("%s -workers %s: exit %d: %s", name, workers, code, stderr)
+			}
+			got.WriteString(stdout)
+		}
+		if got.String() == string(want) {
+			continue
+		}
+		gotLines := strings.Split(got.String(), "\n")
+		wantLines := strings.Split(string(want), "\n")
+		for i := range wantLines {
+			if i >= len(gotLines) || gotLines[i] != wantLines[i] {
+				g := "<missing>"
+				if i < len(gotLines) {
+					g = gotLines[i]
+				}
+				t.Fatalf("-workers %s: line %d differs from the golden\n got: %s\nwant: %s", workers, i+1, g, wantLines[i])
+			}
+		}
+		t.Fatalf("-workers %s: %d lines, golden has %d", workers, len(gotLines), len(wantLines))
+	}
+}
+
 // TestExactConvolve: the -exact-convolve escape hatch and the spec's
 // exact_convolve field run the exact convolution fold; without a
 // binding support cap its pWCETs match the default path (the
