@@ -135,7 +135,7 @@ func (o Options) validate() error {
 	if err := o.Cache.Validate(); err != nil {
 		return err
 	}
-	if o.TargetExceedance <= 0 || o.TargetExceedance >= 1 {
+	if !(o.TargetExceedance > 0 && o.TargetExceedance < 1) { // NaN fails both comparisons
 		return fmt.Errorf("core: target exceedance %g outside (0,1)", o.TargetExceedance)
 	}
 	// MaxSupport feeds dist.CoarsenTo, where values below 2 would
@@ -211,7 +211,7 @@ type Result struct {
 	// distribution of the total fault-induced penalty in cycles.
 	Penalty *dist.Dist
 	// PWCET is the probabilistic WCET at TargetExceedance:
-	// FaultFreeWCET + penalty quantile.
+	// FaultFreeWCET + penalty quantile (PWCETAt).
 	PWCET int64
 	// Degraded marks a result produced by the engine's degraded mode
 	// (Query.SoftDeadline): the soft deadline expired and the analysis
@@ -357,16 +357,18 @@ func Analyze(p *program.Program, opt Options) (*Result, error) {
 			return nil, err
 		}
 	}
+	res.PWCET = res.PWCETAt(opt.TargetExceedance)
 	return res, nil
 }
 
 // buildDistributions derives the per-set penalty distributions from the
 // FMM and the faulty-way probabilities, convolves them (including the
-// data cache's, whose fault population is independent), folds in the
-// transient extra-miss penalty when the scenario has one, and reads the
-// pWCET quantile. workers bounds the convolution tree's parallelism
-// (it may differ from Options.Workers when an Engine batch already
-// fans out at query level); it never changes the result.
+// data cache's, whose fault population is independent) and folds in the
+// transient extra-miss penalty when the scenario has one. It does not
+// depend on the target: the caller reads the pWCET off afterwards with
+// PWCETAt. workers bounds the convolution tree's parallelism (it may
+// differ from Options.Workers when an Engine batch already fans out at
+// query level); it never changes the result.
 //
 // The permanent stage runs exactly the historical code whenever an FMM
 // is present; the transient stage is strictly appended after it, so a
@@ -421,7 +423,6 @@ func (r *Result) buildDistributionsCancel(workers int, probe func() error) error
 		}
 	}
 	r.Penalty = penalty
-	r.PWCET = r.FaultFreeWCET + penalty.QuantileExceedance(r.Options.TargetExceedance)
 	return nil
 }
 
@@ -510,7 +511,9 @@ func convolveTransient(acc *dist.Dist, hb ipet.HitBounds, cfg cache.Config, tm f
 }
 
 // PWCETAt returns the pWCET at an arbitrary exceedance probability,
-// using the mixture bound when the precise SRB analysis is enabled.
+// using the mixture bound when the precise SRB analysis is enabled. It
+// is the one read-off rule: Result.PWCET is PWCETAt at the result's own
+// Options.TargetExceedance, for one-shot, engine and batch results alike.
 func (r *Result) PWCETAt(p float64) int64 {
 	if r.PenaltyPrecise != nil {
 		return r.FaultFreeWCET + r.mixtureQuantile(p)

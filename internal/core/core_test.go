@@ -50,8 +50,10 @@ func TestAnalyzeValidation(t *testing.T) {
 	if _, err := Analyze(p, Options{Pfail: 2}); err == nil {
 		t.Error("pfail=2 accepted")
 	}
-	if _, err := Analyze(p, Options{Pfail: 1e-4, TargetExceedance: 1.5}); err == nil {
-		t.Error("target 1.5 accepted")
+	for _, target := range []float64{1.5, math.NaN()} {
+		if _, err := Analyze(p, Options{Pfail: 1e-4, TargetExceedance: target}); err == nil {
+			t.Errorf("target %g accepted", target)
+		}
 	}
 	bad := Options{Cache: cache.Config{Sets: 3, Ways: 1, BlockBytes: 8, HitLatency: 1, MemLatency: 1}}
 	if _, err := Analyze(p, bad); err == nil {

@@ -31,15 +31,21 @@ package core
 //
 // A Query then only performs the cheap per-query work: the fault model
 // of equation 1, the probability weighting of equations 2/3, the
-// penalty convolution, and the quantile read-off. Every artifact is a
+// penalty convolution, and the quantile read-off. In a batch, only the
+// read-off is per query: the penalty distribution does not depend on
+// the exceedance target, so queries that differ only in their targets
+// form one group that weights and convolves once, and each member reads
+// its own quantile off the shared distribution. Every artifact is a
 // pure function of its key, so batch scheduling can never change any
 // result; AnalyzeBatch results are byte-identical to independent
-// Analyze calls whatever the worker count or completion order.
+// Analyze calls whatever the worker count, grouping or completion
+// order.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -79,7 +85,9 @@ type Query struct {
 	// Mechanism selects the reliability hardware (None, RW, SRB).
 	Mechanism cache.Mechanism
 	// TargetExceedance is the probability at which the pWCET is read
-	// (default 1e-15).
+	// (default 1e-15). It is the only field that does not shape the
+	// penalty distribution: in a batch, queries that differ only in
+	// their targets read their pWCETs off one shared distribution.
 	TargetExceedance float64
 	// MaxSupport caps the convolution support size (default 4096).
 	MaxSupport int
@@ -210,9 +218,9 @@ type ArtifactEvent struct {
 // EngineOptions configures an Engine.
 type EngineOptions struct {
 	// Workers bounds the goroutines used by the per-set stages of each
-	// analysis and by AnalyzeBatch's query scheduling. 0 means
-	// GOMAXPROCS, 1 is fully sequential; negative values are rejected.
-	// When a batch fans out at query level, each query's own
+	// analysis and by AnalyzeBatch's scheduling. 0 means GOMAXPROCS, 1
+	// is fully sequential; negative values are rejected. When a batch
+	// fans out over its groups of queries, each group's own
 	// distribution stages run sequentially (the pool is already
 	// saturated), so the bound is not multiplied. Results are
 	// byte-identical for every worker count.
@@ -838,7 +846,7 @@ func (e *Engine) AnalyzeContext(ctx context.Context, q Query) (*Result, error) {
 // analyze runs one query with the per-query distribution stages
 // bounded by stageWorkers, dispatching to the degraded-mode retry loop
 // when the query arms a soft deadline. AnalyzeBatchStream's parallel
-// path passes 1: the query-level fan-out already saturates the pool,
+// path passes 1: the group-level fan-out already saturates the pool,
 // and multiplying it by per-set parallelism would oversubscribe the
 // machine. Stage parallelism never changes any result.
 func (e *Engine) analyze(qctx context.Context, q Query, stageWorkers int) (*Result, error) {
@@ -920,39 +928,11 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 	if err := qctx.Err(); err != nil {
 		return nil, err
 	}
-	opt := q.options(e.workers)
-	opt.Reference = e.ref       // echoed in Result.Options like the one-shot path
-	opt.ExactConvolve = e.exact // ditto; buildDistributions reads it off Result.Options
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if opt.DataCache != nil && opt.PreciseSRB {
-		return nil, fmt.Errorf("core: PreciseSRB is not supported together with a data cache")
-	}
-	scn, err := opt.scenario()
+	pl, err := e.resolve(q)
 	if err != nil {
 		return nil, err
 	}
-	kind := scn.Kind()
-	pfail, _ := fault.Components(scn)
-	if kind != fault.KindPermanent && (opt.PreciseSRB || opt.DataCache != nil) {
-		return nil, fmt.Errorf("core: %v scenario does not support PreciseSRB or DataCache (permanent only)", kind)
-	}
-	model, err := fault.NewModel(pfail, opt.Cache)
-	if err != nil {
-		return nil, err
-	}
-	var dmodel fault.Model
-	if opt.DataCache != nil {
-		if err := opt.DataCache.Validate(); err != nil {
-			return nil, fmt.Errorf("core: data cache: %w", err)
-		}
-		dmodel, err = fault.NewModel(pfail, *opt.DataCache)
-		if err != nil {
-			return nil, err
-		}
-	}
+	opt, kind := pl.opt, pl.scn.Kind()
 
 	ce, err := e.context(qctx, opt.Cache, opt.DataCache)
 	if err != nil {
@@ -975,8 +955,8 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 	res = &Result{
 		Program:       e.p.Name,
 		Options:       opt,
-		Scenario:      scn,
-		Model:         model,
+		Scenario:      pl.scn,
+		Model:         pl.model,
 		FaultFreeWCET: ce.wcet.WCET,
 		FMM:           fmm,
 		HitRefs:       ce.wcet.HitRefs,
@@ -998,7 +978,7 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 		if err != nil {
 			return nil, err
 		}
-		res.DataModel = dmodel
+		res.DataModel = pl.dmodel
 		res.DataFMM = dfmm
 	}
 	if err := res.buildDistributionsCancel(stageWorkers, probe); err != nil {
@@ -1013,7 +993,54 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 			return nil, err
 		}
 	}
+	res.PWCET = res.PWCETAt(opt.TargetExceedance)
 	return res, nil
+}
+
+// plan is what a query resolves to before any artifact is touched: its
+// validated options with defaults applied and the engine's settings
+// echoed, its fault scenario and the fault models derived from it.
+type plan struct {
+	opt           Options
+	scn           fault.Scenario
+	model, dmodel fault.Model
+}
+
+// resolve validates a query against the engine and derives its plan.
+// It computes nothing shared, so a query it rejects fails on its own.
+func (e *Engine) resolve(q Query) (plan, error) {
+	opt := q.options(e.workers)
+	opt.Reference = e.ref       // echoed in Result.Options like the one-shot path
+	opt.ExactConvolve = e.exact // ditto; buildDistributions reads it off Result.Options
+	opt = opt.withDefaults()
+	if err := opt.validate(); err != nil {
+		return plan{}, err
+	}
+	if opt.DataCache != nil && opt.PreciseSRB {
+		return plan{}, fmt.Errorf("core: PreciseSRB is not supported together with a data cache")
+	}
+	scn, err := opt.scenario()
+	if err != nil {
+		return plan{}, err
+	}
+	kind := scn.Kind()
+	pfail, _ := fault.Components(scn)
+	if kind != fault.KindPermanent && (opt.PreciseSRB || opt.DataCache != nil) {
+		return plan{}, fmt.Errorf("core: %v scenario does not support PreciseSRB or DataCache (permanent only)", kind)
+	}
+	pl := plan{opt: opt, scn: scn}
+	if pl.model, err = fault.NewModel(pfail, opt.Cache); err != nil {
+		return plan{}, err
+	}
+	if opt.DataCache != nil {
+		if err := opt.DataCache.Validate(); err != nil {
+			return plan{}, fmt.Errorf("core: data cache: %w", err)
+		}
+		if pl.dmodel, err = fault.NewModel(pfail, *opt.DataCache); err != nil {
+			return plan{}, err
+		}
+	}
+	return pl, nil
 }
 
 // BatchResult is one indexed outcome of AnalyzeBatchStream: the query's
@@ -1034,6 +1061,16 @@ type BatchResult struct {
 // computed once however many queries need them: concurrent queries
 // that hit the same missing artifact block until its single
 // computation finishes.
+//
+// The unit of work is the penalty distribution, not the query: queries
+// that differ only in TargetExceedance form one group, which runs one
+// analysis and reads every member's pWCET off the same distributions.
+// Each member still gets its own Result, byte-identical to a solo
+// Analyze of its query: it echoes the member's own options and owns
+// its fault miss maps, while PerSet, Penalty and PenaltyPrecise — which
+// nothing mutates — are shared. A query that fails validation runs
+// alone, and when a group's analysis fails every member runs alone, so
+// each query fails exactly as it would by itself.
 func (e *Engine) AnalyzeBatchStream(queries []Query, deliver func(BatchResult)) {
 	e.AnalyzeBatchStreamContext(context.Background(), queries, deliver)
 }
@@ -1044,44 +1081,161 @@ func (e *Engine) AnalyzeBatchStream(queries []Query, deliver func(BatchResult)) 
 // cancellation checkpoint — deliver is still called exactly once per
 // query, and all worker goroutines exit before the call returns.
 func (e *Engine) AnalyzeBatchStreamContext(ctx context.Context, queries []Query, deliver func(BatchResult)) {
+	groups := e.batchGroups(queries)
 	workers := e.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(queries) {
-		workers = len(queries)
+	if workers > len(groups) {
+		workers = len(groups)
 	}
 	if workers <= 1 {
-		for i, q := range queries {
-			res, err := e.analyze(ctx, q, e.workers)
-			deliver(BatchResult{Index: i, Query: q, Result: res, Err: err})
+		for _, g := range groups {
+			e.runGroup(ctx, queries, g, e.workers, deliver)
 		}
 		return
 	}
 
-	var mu sync.Mutex // serializes deliver
-	jobs := make(chan int)
+	var mu sync.Mutex
+	serialized := func(r BatchResult) {
+		mu.Lock()
+		deliver(r)
+		mu.Unlock()
+	}
+	jobs := make(chan []batchMember)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				// Stage parallelism 1: the query-level fan-out already
+			for g := range jobs {
+				// Stage parallelism 1: the group-level fan-out already
 				// saturates the pool (memoized artifacts still compute
 				// at the engine's Workers, deduplicated by sync.Once).
-				res, err := e.analyze(ctx, queries[i], 1)
-				mu.Lock()
-				deliver(BatchResult{Index: i, Query: queries[i], Result: res, Err: err})
-				mu.Unlock()
+				e.runGroup(ctx, queries, g, 1, serialized)
 			}
 		}()
 	}
-	for i := range queries {
-		jobs <- i
+	for _, g := range groups {
+		jobs <- g
 	}
 	close(jobs)
 	wg.Wait()
+}
+
+// batchMember is one query of a batch group: its index in the batch and
+// its plan (zero for a query that failed validation).
+type batchMember struct {
+	index int
+	plan  plan
+}
+
+// batchGroups partitions a batch into its units of work, in order of
+// first occurrence. A group holds the queries that read one penalty
+// distribution, its leader first; a query that fails validation forms
+// a group of its own.
+func (e *Engine) batchGroups(queries []Query) [][]batchMember {
+	var groups [][]batchMember
+	byKey := make(map[groupKey]int) // position in groups; only looked up, never ranged over
+	for i, q := range queries {
+		pl, err := e.resolve(q)
+		if err != nil {
+			groups = append(groups, []batchMember{{index: i}})
+			continue
+		}
+		k := pl.groupKey(q.SoftDeadline)
+		if g, ok := byKey[k]; ok {
+			groups[g] = append(groups[g], batchMember{index: i, plan: pl})
+			continue
+		}
+		byKey[k] = len(groups)
+		groups = append(groups, []batchMember{{index: i, plan: pl}})
+	}
+	return groups
+}
+
+// runGroup analyzes one batch group and delivers one outcome per
+// member. The leader runs the full analysis and every other member is
+// derived from its result (Result.member). If the leader fails, every
+// member runs alone instead, so each gets the outcome it would get by
+// itself, errors included.
+func (e *Engine) runGroup(ctx context.Context, queries []Query, g []batchMember, stageWorkers int, deliver func(BatchResult)) {
+	lead := g[0].index
+	res, err := e.analyze(ctx, queries[lead], stageWorkers)
+	if err != nil {
+		deliver(BatchResult{Index: lead, Query: queries[lead], Err: err})
+		for _, m := range g[1:] {
+			res, err := e.analyze(ctx, queries[m.index], stageWorkers)
+			deliver(BatchResult{Index: m.index, Query: queries[m.index], Result: res, Err: err})
+		}
+		return
+	}
+	// Derive every member before the first delivery: deliver may modify
+	// the leader's result.
+	results := make([]*Result, len(g))
+	results[0] = res
+	for k, m := range g[1:] {
+		results[k+1] = res.member(m.plan)
+	}
+	for k, m := range g {
+		deliver(BatchResult{Index: m.index, Query: queries[m.index], Result: results[k]})
+	}
+}
+
+// groupKey identifies the penalty distribution a valid query reads its
+// pWCET from: its plan without the exceedance target. The scenario
+// enters as its kind and bit-exact components and the data cache by
+// value, so the key hashes no Scenario interface value (an
+// implementation need not be comparable), a legacy Pfail and the
+// equivalent Permanent scenario share a group, and so do distinct
+// pointers to equal data caches. The soft deadline is part of the key
+// because it decides how far the distribution may be degraded.
+type groupKey struct {
+	opt           Options // with the fields Result.member restores cleared
+	kind          fault.Kind
+	pfail, lambda uint64 // math.Float64bits of the scenario's components
+	data          cache.Config
+	hasData       bool
+	soft          time.Duration
+}
+
+func (pl plan) groupKey(soft time.Duration) groupKey {
+	k := groupKey{opt: pl.opt, kind: pl.scn.Kind(), soft: soft}
+	k.opt.TargetExceedance, k.opt.Pfail, k.opt.Scenario, k.opt.DataCache = 0, 0, nil, nil
+	pfail, lambda := fault.Components(pl.scn)
+	k.pfail, k.lambda = math.Float64bits(pfail), math.Float64bits(lambda)
+	if pl.opt.DataCache != nil {
+		k.data, k.hasData = *pl.opt.DataCache, true
+	}
+	return k
+}
+
+// member derives from a group leader's result the result of another
+// member with plan pl: the same analysis, read at the member's own
+// target. The distributions are shared, since nothing mutates them. The
+// fault miss maps are the member's own copies, as a solo query's are,
+// and the options echo the member's own values of the fields groupKey
+// leaves out.
+func (r *Result) member(pl plan) *Result {
+	m := *r
+	m.Options.TargetExceedance, m.Options.Pfail = pl.opt.TargetExceedance, pl.opt.Pfail
+	m.Options.Scenario, m.Options.DataCache = pl.opt.Scenario, pl.opt.DataCache
+	m.Scenario = pl.scn
+	m.FMM, m.DataFMM, m.FMMPrecise = cloneFMM(r.FMM), cloneFMM(r.DataFMM), cloneFMM(r.FMMPrecise)
+	m.PWCET = m.PWCETAt(m.Options.TargetExceedance)
+	return &m
+}
+
+// cloneFMM returns a deep copy of a fault miss map (nil stays nil).
+func cloneFMM(fmm ipet.FMM) ipet.FMM {
+	if fmm == nil {
+		return nil
+	}
+	c := make(ipet.FMM, len(fmm))
+	for s, row := range fmm {
+		c[s] = append([]int64(nil), row...)
+	}
+	return c
 }
 
 // AnalyzeBatchChan is AnalyzeBatchStream delivering over a channel; the
@@ -1108,8 +1262,11 @@ func (e *Engine) AnalyzeBatchChanContext(ctx context.Context, queries []Query) <
 }
 
 // AnalyzeBatch runs all queries and returns their results in input
-// order. On failures it returns the error of the lowest-index failing
-// query — the same one a sequential loop would have hit first.
+// order. Queries that differ only in TargetExceedance share one
+// analysis (see AnalyzeBatchStream); every result is still
+// byte-identical to a solo Analyze of its query. On failures it returns
+// the error of the lowest-index failing query — the same one a
+// sequential loop would have hit first.
 func (e *Engine) AnalyzeBatch(queries []Query) ([]*Result, error) {
 	return e.AnalyzeBatchContext(context.Background(), queries)
 }

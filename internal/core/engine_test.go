@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -361,8 +362,10 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := e.Analyze(Query{Pfail: 2}); err == nil {
 		t.Error("pfail=2 accepted")
 	}
-	if _, err := e.Analyze(Query{Pfail: 1e-4, TargetExceedance: 1.5}); err == nil {
-		t.Error("target 1.5 accepted")
+	for _, target := range []float64{1.5, math.NaN()} {
+		if _, err := e.Analyze(Query{Pfail: 1e-4, TargetExceedance: target}); err == nil {
+			t.Errorf("target %g accepted", target)
+		}
 	}
 	if _, err := e.Analyze(Query{Pfail: 1e-4, MaxSupport: 1}); err == nil {
 		t.Error("MaxSupport 1 accepted")

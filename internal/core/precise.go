@@ -64,8 +64,9 @@ func (r *Result) buildPreciseSRB(sys *ipet.System, a *absint.Analyzer, base []ch
 }
 
 // attachPreciseSRB derives the precise penalty distribution and the
-// mixture pWCET from an already-computed precise FMM (Engine sessions
-// memoize it across queries). workers bounds the convolution only.
+// mixture term from an already-computed precise FMM (Engine sessions
+// memoize it across queries); PWCETAt then reads the mixture bound.
+// workers bounds the convolution only.
 func (r *Result) attachPreciseSRB(fmm ipet.FMM, workers int) error {
 	cfg := r.Options.Cache
 	r.FMMPrecise = fmm
@@ -89,7 +90,6 @@ func (r *Result) attachPreciseSRB(fmm ipet.FMM, workers int) error {
 	}
 	r.PenaltyPrecise = reduce(perSet, r.Options.MaxSupport, workers, r.Options.Coarsen)
 	r.ProbMultiFullSets = probMultiFullSets(r.Model.PBF, cfg.Sets, cfg.Ways)
-	r.PWCET = r.FaultFreeWCET + r.mixtureQuantile(r.Options.TargetExceedance)
 	return nil
 }
 

@@ -32,10 +32,14 @@
 //	fmt.Println(res.FaultFreeWCET, res.PWCET)
 //
 // Engine.AnalyzeBatch evaluates many queries at once over a worker
-// pool with shared-work deduplication; Engine.AnalyzeBatchStream and
-// Engine.AnalyzeBatchChan stream indexed results as they complete. For
-// a single configuration, the one-shot Analyze and AnalyzeAll helpers
-// wrap a throwaway Engine.
+// pool with shared-work deduplication: memoized artifacts are computed
+// once per batch, and queries that differ only in their exceedance
+// target share one penalty distribution, weighted and convolved once
+// and read off at each member's target. Every result stays
+// byte-identical to a solo Analyze of its query.
+// Engine.AnalyzeBatchStream and Engine.AnalyzeBatchChan stream indexed
+// results as they complete. For a single configuration, the one-shot
+// Analyze and AnalyzeAll helpers wrap a throwaway Engine.
 //
 // The paper's 25-benchmark Mälardalen evaluation is available through
 // Benchmarks and Benchmark; cmd/paperfigs regenerates every figure and
