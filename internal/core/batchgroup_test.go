@@ -19,10 +19,10 @@ import (
 var groupTargets = []float64{1e-6, 1e-9, 1e-12, 1e-15}
 
 // withTargets expands every base query into one query per target,
-// targets outermost: a group's members are never adjacent in the batch,
-// and the query at t*len(base)+b belongs to the group of base[b], whose
-// leader sits at index b. Each query gets its own copy of its data
-// cache, so groups also join distinct pointers to equal configs.
+// targets outermost, so a group's members are never adjacent in the
+// batch and the query at t*len(base)+b reads the distributions of the
+// query at index b. Each query gets its own copy of its data cache, so
+// groups also join distinct pointers to equal configs.
 func withTargets(base []Query) []Query {
 	var qs []Query
 	for _, tg := range groupTargets {
@@ -68,6 +68,7 @@ func TestBatchGroupsMatchSoloAnalyze(t *testing.T) {
 			{Pfail: 1e-4, Mechanism: cache.MechanismNone},
 			{Pfail: 1e-4, Mechanism: cache.MechanismRW},
 			{Pfail: 1e-4, Mechanism: cache.MechanismSRB},
+			// The first query again, spelled as a scenario: same group.
 			{Scenario: fault.Permanent{Pfail: 1e-4}, Mechanism: cache.MechanismNone},
 		}},
 		{"combined-transient", crc, []Query{
@@ -105,12 +106,12 @@ func TestBatchGroupsMatchSoloAnalyze(t *testing.T) {
 					t.Fatalf("%s query %d: %v", label, i, err)
 				}
 				requireDeepEqualResult(t, fmt.Sprintf("%s query %d", label, i), solo[i], batch[i])
-				leader := batch[i%len(tc.base)]
-				if batch[i].Penalty != leader.Penalty || batch[i].PenaltyPrecise != leader.PenaltyPrecise {
-					t.Fatalf("%s query %d: does not share its group leader's penalty distributions", label, i)
+				first := batch[i%len(tc.base)]
+				if batch[i].Penalty != first.Penalty || batch[i].PenaltyPrecise != first.PenaltyPrecise {
+					t.Fatalf("%s query %d: does not share the penalty distributions of its group", label, i)
 				}
 			}
-			if tc.name == "permanent" && batch[0].Penalty != batch[3].Penalty {
+			if tc.name == "permanent" && batch[3].Penalty != batch[0].Penalty {
 				t.Fatalf("%s: the legacy Pfail spelling and the equal Permanent scenario do not share a distribution", label)
 			}
 			// Every fault miss map is its owner's: scribbling on all but

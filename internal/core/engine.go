@@ -807,15 +807,14 @@ func (e *Engine) fmmFor(qctx context.Context, ctx *ctxEntry, data bool, mech cac
 	if err != nil {
 		return nil, err
 	}
-	c := ctx.ic
-	if data {
-		c = ctx.dc
-	}
-	ways := c.a.Config().Ways
-	fmm := make(ipet.FMM, len(core))
-	for s, row := range core {
-		fmm[s] = append([]int64(nil), row...)
-		if column != nil {
+	fmm := cloneFMM(core)
+	if column != nil {
+		c := ctx.ic
+		if data {
+			c = ctx.dc
+		}
+		ways := c.a.Config().Ways
+		for s := range fmm {
 			fmm[s][ways] = column[s][ways]
 		}
 	}
