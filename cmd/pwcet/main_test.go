@@ -475,18 +475,13 @@ func TestBatchTargetsGolden(t *testing.T) {
 		if got.String() == string(want) {
 			continue
 		}
-		gotLines := strings.Split(got.String(), "\n")
-		wantLines := strings.Split(string(want), "\n")
-		for i := range wantLines {
-			if i >= len(gotLines) || gotLines[i] != wantLines[i] {
-				g := "<missing>"
-				if i < len(gotLines) {
-					g = gotLines[i]
-				}
-				t.Fatalf("-workers %s: line %d differs from the golden\n got: %s\nwant: %s", workers, i+1, g, wantLines[i])
+		g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(g) && i < len(w); i++ {
+			if g[i] != w[i] {
+				t.Fatalf("-workers %s: line %d differs from the golden\n got: %s\nwant: %s", workers, i+1, g[i], w[i])
 			}
 		}
-		t.Fatalf("-workers %s: %d lines, golden has %d", workers, len(gotLines), len(wantLines))
+		t.Fatalf("-workers %s: %d lines, golden has %d", workers, len(g), len(w))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/fault"
@@ -230,5 +231,45 @@ func TestBatchGroupErrorsMatchSolo(t *testing.T) {
 				t.Fatalf("workers=%d member %d: error %v, solo error %v", workers, i+1, errs[i+1], soloErr)
 			}
 		}
+	}
+}
+
+// TestBatchGroupDegradedMatchesSolo: when an unmeetable soft deadline
+// degrades a group's leader to the floor support cap, every member gets
+// the degraded distributions, flagged Degraded and echoing the cap they
+// were built under, exactly as the member degrades alone on a fresh
+// engine. (The 256-set program keeps every timed attempt slower than
+// the deadline, as in TestDegradedModeSoundDominance.)
+func TestBatchGroupDegradedMatchesSolo(t *testing.T) {
+	p := build256SetProgram(t)
+	cfg := cache.Config{Sets: 256, Ways: 2, BlockBytes: 8, HitLatency: 1, MemLatency: 100}
+	qs := []Query{
+		{Cache: cfg, Pfail: 1e-3, Mechanism: cache.MechanismNone, TargetExceedance: 1e-9, SoftDeadline: time.Nanosecond},
+		{Cache: cfg, Pfail: 1e-3, Mechanism: cache.MechanismNone, TargetExceedance: 1e-15, SoftDeadline: time.Nanosecond},
+	}
+	e, err := NewEngine(p, EngineOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := e.AnalyzeBatch(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		fresh, err := NewEngine(p, EngineOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo, err := fresh.Analyze(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !solo.Degraded {
+			t.Fatalf("query %d: solo run not degraded under a 1ns soft deadline", i)
+		}
+		requireDeepEqualResult(t, fmt.Sprintf("degraded query %d", i), solo, batch[i])
+	}
+	if batch[1].Penalty != batch[0].Penalty {
+		t.Fatal("degraded members do not share their group's distribution")
 	}
 }

@@ -367,8 +367,8 @@ func Analyze(p *program.Program, opt Options) (*Result, error) {
 // transient extra-miss penalty when the scenario has one. It does not
 // depend on the target: the caller reads the pWCET off afterwards with
 // PWCETAt. workers bounds the convolution tree's parallelism (it may
-// differ from Options.Workers when an Engine batch already fans out at
-// query level); it never changes the result.
+// differ from Options.Workers when an Engine batch already fans out
+// over its groups of queries); it never changes the result.
 //
 // The permanent stage runs exactly the historical code whenever an FMM
 // is present; the transient stage is strictly appended after it, so a

@@ -33,7 +33,7 @@
 //
 // Engine.AnalyzeBatch evaluates many queries at once over a worker
 // pool with shared-work deduplication: memoized artifacts are computed
-// once per batch, and queries that differ only in their exceedance
+// once per engine, and queries that differ only in their exceedance
 // target share one penalty distribution, weighted and convolved once
 // and read off at each member's target. Every result stays
 // byte-identical to a solo Analyze of its query.
