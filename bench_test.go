@@ -245,16 +245,17 @@ func benchPerSetDists(b *testing.B, sets int) []*dist.Dist {
 	return perSet
 }
 
-// BenchmarkConvolveAllWorkers profiles the parallel pairwise tree
-// reduction on a 256-set configuration across worker counts,
-// benchmarked against the sequential left fold (BenchmarkConvolution
-// measures the 16-set fold).
+// BenchmarkConvolveAllWorkers profiles the per-set penalty reduction
+// on a 256-set configuration across worker counts: workers bounds the
+// independent merge nodes convolving concurrently, each running one
+// plain Convolve, so only cores beyond the first can make workers > 1
+// faster (BenchmarkConvolution measures the 16-set sequential fold).
 func BenchmarkConvolveAllWorkers(b *testing.B) {
 	perSet := benchPerSetDists(b, 256)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				total := dist.ConvolveAll(perSet, core.DefaultMaxSupport, workers)
+				total := dist.ConvolveAllWith(perSet, core.DefaultMaxSupport, workers, dist.CoarsenLeastError)
 				_ = total.QuantileExceedance(1e-15)
 			}
 		})
@@ -405,7 +406,7 @@ func BenchmarkAnalyzeSingle(b *testing.B) {
 // BenchmarkAnalyze256 is the end-to-end analysis on a 256-set cache
 // (16KB, 4-way): the configuration whose penalty reduction folds 256
 // per-set distributions and therefore exercises the monoid-power /
-// in-tree-coarsening ConvolveAll path inside the full pipeline
+// in-tree-coarsening ConvolveAllWith path inside the full pipeline
 // (serial, so the gate tracks algorithmic cost, not core count).
 func BenchmarkAnalyze256(b *testing.B) {
 	p := malardalen.MustGet("adpcm")

@@ -632,7 +632,7 @@ func analyzeAll(stdout io.Writer, c *config) error {
 		p := malardalen.MustGet(name)
 		opt := pwcet.Options{
 			TargetExceedance: c.target, Workers: c.workers,
-			ExactConvolve: c.exact,
+			Coarsen: c.coarsen, ExactConvolve: c.exact,
 		}
 		if scn := c.scenario(); scn != nil {
 			opt.Scenario = scn

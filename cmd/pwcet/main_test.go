@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -549,6 +550,59 @@ func TestExactConvolve(t *testing.T) {
 	if len(rows) != 1 || rows[0].PWCET != solo.PWCET {
 		t.Errorf("batch exact_convolve rows %+v, want pWCET %d", rows, solo.PWCET)
 	}
+}
+
+// TestAllHonorsCoarsen: -all analyzes under the selected -coarsen
+// strategy, so its ud row matches -bench ud under keep-heaviest — a
+// configuration where the strategy changes the none pWCET.
+func TestAllHonorsCoarsen(t *testing.T) {
+	flags := []string{"-pfail", "1e-3", "-target", "1e-9"}
+	benchPWCETs := func(coarsen string) map[string]int64 {
+		t.Helper()
+		args := append([]string{"-bench", "ud", "-mech", "all", "-json", "-coarsen", coarsen}, flags...)
+		code, stdout, stderr := runCmd(t, args...)
+		if code != 0 {
+			t.Fatalf("-bench ud -coarsen %s exit %d: %s", coarsen, code, stderr)
+		}
+		var rep struct {
+			Mechanisms []struct {
+				Mechanism string `json:"mechanism"`
+				PWCET     int64  `json:"pwcet"`
+			} `json:"mechanisms"`
+		}
+		if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]int64)
+		for _, m := range rep.Mechanisms {
+			out[m.Mechanism] = m.PWCET
+		}
+		return out
+	}
+	want := benchPWCETs("keep-heaviest")
+	if le := benchPWCETs("least-error"); le["none"] == want["none"] {
+		t.Fatalf("corpus bug: ud none pWCET %d is the same under both strategies", le["none"])
+	}
+
+	code, stdout, stderr := runCmd(t, append([]string{"-all", "-coarsen", "keep-heaviest"}, flags...)...)
+	if code != 0 {
+		t.Fatalf("-all exit %d: %s", code, stderr)
+	}
+	for _, line := range strings.Split(stdout, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 6 || f[0] != "ud" {
+			continue
+		}
+		// Columns: benchmark, code B, fault-free, none, srb, rw, gains.
+		got := map[string]string{"none": f[3], "srb": f[4], "rw": f[5]}
+		for mech, v := range got {
+			if v != strconv.FormatInt(want[mech], 10) {
+				t.Errorf("-all ud %s pWCET %s, want %d as from -bench ud", mech, v, want[mech])
+			}
+		}
+		return
+	}
+	t.Fatalf("-all output has no ud row:\n%s", stdout)
 }
 
 // TestProfilingFlags: -cpuprofile and -memprofile must write non-empty

@@ -13,9 +13,8 @@
 //     the site carries a reviewed //pwcetlint:ordered directive.
 //   - floataccum flags floating-point compound accumulation whose
 //     evaluation order derives from a map iteration or from a shared
-//     accumulator written inside `go` function literals (the
-//     per-worker-partition bug class the output-range convolution
-//     splits were designed around).
+//     accumulator written inside `go` function literals (a shared
+//     float accumulator would make results depend on scheduling).
 //   - exhaustenum requires switches over the repo's int enums
 //     (iota blocks such as cache.Mechanism, lp.Op, dist.CoarsenStrategy)
 //     to be exhaustive or to carry a panicking default.

@@ -8,10 +8,11 @@ import (
 
 // FloatAccum returns the floataccum analyzer. It flags floating-point
 // compound accumulation (+=, -=, *=, /=) whose evaluation order is
-// nondeterministic — the exact bug class the output-range worker
-// partitioning of dist.ConvolveAll was designed around, since float
-// addition is not associative and a different accumulation order
-// changes the low bits of the result:
+// nondeterministic — the bug class the repo's byte-identity contracts
+// rule out (dist.ConvolveAllWith returns the same atoms for every
+// worker count because each merge node accumulates on one goroutine in
+// a fixed order), since float addition is not associative and a
+// different accumulation order changes the low bits of the result:
 //
 //   - an accumulator declared outside a range-over-map loop and updated
 //     inside it (iteration order varies run to run), and

@@ -20,9 +20,9 @@ type RefPurityRule struct {
 
 // DefaultRefPurityRules pin the repo's reference/optimized pairs:
 //
-//   - dist.ConvolveAllExact[With] (the no-sharing, no-in-tree-coarsening
-//     reduction) must not call the monoid-optimized ConvolveAll[With] or
-//     its executor convolveAllOpt;
+//   - dist.ConvolveAllExact (the no-sharing, no-in-tree-coarsening
+//     reduction) must not call the monoid-optimized ConvolveAllWith,
+//     ConvolveAllCancelWith or their executor convolveAllOpt;
 //   - lp's dense reference loops (referenceIterate, referencePivot)
 //     must not call the sparse iterate/pivot, the tableau compaction or
 //     its dirty-row bookkeeping;

@@ -1,6 +1,9 @@
 package analyzers
 
 import (
+	"go/ast"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -24,6 +27,7 @@ func TestRepoCleanAndDirectivesLoadBearing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertRefPurityRulesLive(t, pkgs)
 	diags, err := Run(pkgs, All())
 	if err != nil {
 		t.Fatal(err)
@@ -61,5 +65,39 @@ func TestRepoCleanAndDirectivesLoadBearing(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("no //pwcetlint: directives found in the module; expected the reviewed absint annotations")
+	}
+}
+
+// assertRefPurityRulesLive fails unless every production refpurity rule
+// still names live code: its Root and its Forbidden pattern each match
+// at least one function or method declared in the rule's package. A
+// rename that left a rule matching nothing would turn the lint vacuous
+// without any finding to notice it by.
+func assertRefPurityRulesLive(t *testing.T, pkgs []*Package) {
+	t.Helper()
+	for _, rule := range DefaultRefPurityRules {
+		var ids []string
+		for _, pkg := range pkgs {
+			if pkg.Path != rule.PkgPath {
+				continue
+			}
+			pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					if fd, ok := decl.(*ast.FuncDecl); ok {
+						ids = append(ids, funcIdentity(pass, fd))
+					}
+				}
+			}
+		}
+		for _, pat := range []struct {
+			field string
+			re    *regexp.Regexp
+		}{{"Root", rule.Root}, {"Forbidden", rule.Forbidden}} {
+			if !slices.ContainsFunc(ids, pat.re.MatchString) {
+				t.Errorf("refpurity rule for %s: %s %s matches no function or method of the package; the rule guards nothing",
+					rule.PkgPath, pat.field, pat.re)
+			}
+		}
 	}
 }

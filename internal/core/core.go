@@ -104,7 +104,7 @@ type Options struct {
 	// substantial slowdown.
 	Reference bool
 	// ExactConvolve routes every penalty reduction through the retained
-	// reference convolution executor (dist.ConvolveAllExactWith): the
+	// reference convolution executor (dist.ConvolveAllExact): the
 	// same canonical order and merge plan as the optimized monoid
 	// engine, but no subtree sharing and no in-tree coarsening — the
 	// convolution analogue of Reference. Byte-identical to the default
@@ -427,13 +427,9 @@ func (r *Result) buildDistributionsCancel(workers int, probe func() error) error
 }
 
 // convolveFMM convolves one cache's per-set penalty distributions into
-// an accumulator distribution. The per-set distributions are reduced by
-// dist.ConvolveAllWith's parallel pairwise tree (coarsening only the
-// partial products that exceed maxSupport, with the configured
-// strategy) and the result is folded into the accumulator; workers
-// bounds the tree's parallelism. exact selects the retained reference
-// executor instead (Options.ExactConvolve). probe, when non-nil, is the
-// cancellation hook checked at every merge node of the reduction.
+// an accumulator distribution: convolveSets reduces them (coarsening
+// only the partial products that exceed maxSupport, with the configured
+// strategy) and the result is folded into the accumulator.
 func convolveFMM(fmm ipet.FMM, cfg cache.Config, model fault.Model, mech cache.Mechanism,
 	acc *dist.Dist, maxSupport int, strategy dist.CoarsenStrategy, workers int, exact bool,
 	probe func() error) ([]*dist.Dist, *dist.Dist, error) {
@@ -443,31 +439,47 @@ func convolveFMM(fmm ipet.FMM, cfg cache.Config, model fault.Model, mech cache.M
 	} else {
 		pwf = fault.PWF(cfg.Ways, model.PBF) // equation 2
 	}
-	perSet := make([]*dist.Dist, cfg.Sets)
-	for s := 0; s < cfg.Sets; s++ {
-		pts := make([]dist.Point, 0, len(pwf))
-		for f, prob := range pwf {
-			pts = append(pts, dist.Point{
-				Value: fmm[s][f] * cfg.MissPenalty(),
-				Prob:  prob,
-			})
-		}
-		d, err := dist.New(pts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: set %d penalty distribution: %w", s, err)
-		}
-		perSet[s] = d
+	perSet, err := perSetPenalties(fmm, pwf, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	reduce := dist.ConvolveAllCancelWith
-	if exact {
-		reduce = dist.ConvolveAllExactCancelWith
-	}
-	total, err := reduce(perSet, maxSupport, workers, strategy, probe)
+	total, err := convolveSets(perSet, maxSupport, strategy, workers, exact, probe)
 	if err != nil {
 		return nil, nil, err
 	}
 	acc = acc.Convolve(total).CoarsenToWith(maxSupport, strategy)
 	return perSet, acc, nil
+}
+
+// perSetPenalties builds one penalty distribution per cache set: with
+// probability pwf[f] the set has f faulty ways and suffers fmm[s][f]
+// extra misses, each costing the miss penalty.
+func perSetPenalties(fmm ipet.FMM, pwf []float64, cfg cache.Config) ([]*dist.Dist, error) {
+	perSet := make([]*dist.Dist, cfg.Sets)
+	for s := range perSet {
+		pts := make([]dist.Point, 0, len(pwf))
+		for f, prob := range pwf {
+			pts = append(pts, dist.Point{Value: fmm[s][f] * cfg.MissPenalty(), Prob: prob})
+		}
+		d, err := dist.New(pts)
+		if err != nil {
+			return nil, fmt.Errorf("core: set %d penalty distribution: %w", s, err)
+		}
+		perSet[s] = d
+	}
+	return perSet, nil
+}
+
+// convolveSets reduces per-set distributions to the distribution of
+// their sum over workers, or serially by the reference executor when
+// exact (Options.ExactConvolve). probe, when non-nil, is the
+// cancellation hook checked at every merge node.
+func convolveSets(perSet []*dist.Dist, maxSupport int, strategy dist.CoarsenStrategy, workers int, exact bool,
+	probe func() error) (*dist.Dist, error) {
+	if exact {
+		return dist.ConvolveAllExact(perSet, maxSupport, strategy, probe)
+	}
+	return dist.ConvolveAllCancelWith(perSet, maxSupport, workers, strategy, probe)
 }
 
 // convolveTransient folds the transient extra-miss penalty into the
@@ -480,7 +492,7 @@ func convolveFMM(fmm ipet.FMM, cfg cache.Config, model fault.Model, mech cache.M
 // Ways+1 atoms, a binomial can carry thousands). A zero PMiss
 // contributes nothing and returns the accumulator unchanged, which is
 // what makes Combined(pfail, lambda=0) byte-identical to
-// Permanent(pfail). probe mirrors convolveFMM's cancellation hook.
+// Permanent(pfail). probe is convolveSets' cancellation hook.
 func convolveTransient(acc *dist.Dist, hb ipet.HitBounds, cfg cache.Config, tm fault.TransientModel,
 	maxSupport int, strategy dist.CoarsenStrategy, workers int, exact bool,
 	probe func() error) (*dist.Dist, error) {
@@ -499,11 +511,7 @@ func convolveTransient(acc *dist.Dist, hb ipet.HitBounds, cfg cache.Config, tm f
 		}
 		perSet[s] = d.CoarsenToWith(maxSupport, strategy)
 	}
-	reduce := dist.ConvolveAllCancelWith
-	if exact {
-		reduce = dist.ConvolveAllExactCancelWith
-	}
-	total, err := reduce(perSet, maxSupport, workers, strategy, probe)
+	total, err := convolveSets(perSet, maxSupport, strategy, workers, exact, probe)
 	if err != nil {
 		return nil, err
 	}

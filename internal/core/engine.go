@@ -988,7 +988,7 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 		if err != nil {
 			return nil, err
 		}
-		if err := res.attachPreciseSRB(pfmm, stageWorkers); err != nil {
+		if err := res.attachPreciseSRB(pfmm, stageWorkers, probe); err != nil {
 			return nil, err
 		}
 	}

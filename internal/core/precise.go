@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/absint"
 	"repro/internal/chmc"
-	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/ipet"
 )
@@ -60,35 +59,28 @@ func (r *Result) buildPreciseSRB(sys *ipet.System, a *absint.Analyzer, base []ch
 	if err != nil {
 		return err
 	}
-	return r.attachPreciseSRB(fmm, r.Options.Workers)
+	return r.attachPreciseSRB(fmm, r.Options.Workers, nil)
 }
 
 // attachPreciseSRB derives the precise penalty distribution and the
 // mixture term from an already-computed precise FMM (Engine sessions
 // memoize it across queries); PWCETAt then reads the mixture bound.
-// workers bounds the convolution only.
-func (r *Result) attachPreciseSRB(fmm ipet.FMM, workers int) error {
+// workers bounds the convolution only. probe, when non-nil, is the
+// cancellation hook checked at every merge node of the reduction; on
+// its error nothing is attached to the result.
+func (r *Result) attachPreciseSRB(fmm ipet.FMM, workers int, probe func() error) error {
 	cfg := r.Options.Cache
+	perSet, err := perSetPenalties(fmm, fault.PWF(cfg.Ways, r.Model.PBF), cfg)
+	if err != nil {
+		return err
+	}
+	penalty, err := convolveSets(perSet, r.Options.MaxSupport, r.Options.Coarsen, workers,
+		r.Options.ExactConvolve, probe)
+	if err != nil {
+		return err
+	}
 	r.FMMPrecise = fmm
-
-	pwf := fault.PWF(cfg.Ways, r.Model.PBF)
-	perSet := make([]*dist.Dist, cfg.Sets)
-	for s := 0; s < cfg.Sets; s++ {
-		pts := make([]dist.Point, 0, len(pwf))
-		for f, prob := range pwf {
-			pts = append(pts, dist.Point{Value: fmm[s][f] * cfg.MissPenalty(), Prob: prob})
-		}
-		d, err := dist.New(pts)
-		if err != nil {
-			return err
-		}
-		perSet[s] = d
-	}
-	reduce := dist.ConvolveAllWith
-	if r.Options.ExactConvolve {
-		reduce = dist.ConvolveAllExactWith
-	}
-	r.PenaltyPrecise = reduce(perSet, r.Options.MaxSupport, workers, r.Options.Coarsen)
+	r.PenaltyPrecise = penalty
 	r.ProbMultiFullSets = probMultiFullSets(r.Model.PBF, cfg.Sets, cfg.Ways)
 	return nil
 }

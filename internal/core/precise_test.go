@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -158,5 +160,27 @@ func TestPreciseSRBIgnoredForOtherMechanisms(t *testing.T) {
 	}
 	if r.PenaltyPrecise != nil {
 		t.Error("precise SRB distribution built for a non-SRB mechanism")
+	}
+}
+
+// TestAttachPreciseSRBHonorsCancellation: the precise-SRB reduction
+// consults the query's cancellation probe like the conservative one, so
+// a canceled query stops in the precise tree too and attaches nothing —
+// on the optimized and the reference executor alike.
+func TestAttachPreciseSRBHonorsCancellation(t *testing.T) {
+	p := malardalen.MustGet("bs")
+	for _, exact := range []bool{false, true} {
+		full, err := Analyze(p, Options{Pfail: 1e-4, Mechanism: cache.MechanismSRB, PreciseSRB: true, ExactConvolve: exact})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &Result{Options: full.Options, Model: full.Model}
+		err = r.attachPreciseSRB(full.FMMPrecise, 4, func() error { return context.Canceled })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("exact=%v: attachPreciseSRB under a canceled probe = %v, want context.Canceled", exact, err)
+		}
+		if r.PenaltyPrecise != nil {
+			t.Fatalf("exact=%v: canceled precise reduction still attached a distribution", exact)
+		}
 	}
 }

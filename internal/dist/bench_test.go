@@ -72,7 +72,7 @@ func BenchmarkConvolve1kxSelf(b *testing.B) {
 
 // benchWideDist builds an n-atom distribution whose values spread far
 // beyond maxDenseSpan, forcing Convolve onto the wide-span k-way-merge
-// path (the shape of the high levels of ConvolveAll's reduction tree).
+// path (the shape of the high levels of ConvolveAllWith's merge tree).
 func benchWideDist(n int, seed int64) *Dist {
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]Point, n)
@@ -93,7 +93,7 @@ func benchWideDist(n int, seed int64) *Dist {
 
 // BenchmarkConvolveWideSpan measures the wide-span convolution path
 // that used to materialize and sort all n·m pairs (the sort-bound
-// stage of high ConvolveAll tree levels) and is now a k-way heap
+// stage of high ConvolveAllWith tree levels) and is now a k-way heap
 // merge.
 func BenchmarkConvolveWideSpan(b *testing.B) {
 	x := benchWideDist(2_000, 14)
@@ -108,7 +108,7 @@ func BenchmarkConvolveWideSpan(b *testing.B) {
 // convolution on the 5-atom per-set shape. k = 64 keeps a full
 // squaring chain (6 squares plus partial-product merges) while the
 // uncoarsened supports stay small enough for a stable multi-iteration
-// measurement; inside ConvolveAll the same chain runs with in-tree
+// measurement; inside ConvolveAllWith the same chain runs with in-tree
 // coarsening (BenchmarkConvolveAllEqualInputs measures that).
 func BenchmarkPow(b *testing.B) {
 	d := benchSetDist()
@@ -129,7 +129,7 @@ func BenchmarkConvolveAllEqualInputs(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		total := ConvolveAll(ds, 4096, 1)
+		total := ConvolveAllWith(ds, 4096, 1, CoarsenLeastError)
 		_ = total.QuantileExceedance(1e-15)
 	}
 }

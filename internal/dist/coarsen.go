@@ -47,9 +47,9 @@
 // pessimistic at 1e-12 (pinned as the regression the default scheme
 // fixes, same test as above).
 //
-// # In-tree variants (the ConvolveAll hot path)
+// # In-tree variants (the ConvolveAllWith hot path)
 //
-// The monoid ConvolveAll executor coarsens inside the merge tree and
+// The monoid ConvolveAllWith executor coarsens inside the merge tree and
 // uses two specialized engines built on the same soundness contract:
 // coarsenSoft, a linear-time threshold sweep that thins merge operands
 // under an explicit exceedance-area budget and a maximum merge-run
@@ -159,7 +159,7 @@ func (d *Dist) CoarsenToWith(maxSupport int, strategy CoarsenStrategy) *Dist {
 // Candidates live in a flat min-heap ordered by (cost, left) —
 // maintained with the package's shared siftDownFunc instead of
 // container/heap, whose interface methods box every popped element.
-// The in-tree coarsening of ConvolveAll runs this engine at every big
+// The in-tree coarsening of ConvolveAllWith runs this engine at every big
 // merge node, so the heap is on the reduction's critical path.
 type mergeCand struct {
 	cost float64
@@ -195,7 +195,7 @@ func (d *Dist) coarsenLeastError(target int) *Dist {
 // eligible only while destination − (smallest value folded into the
 // run) stays within maxGap, so no exceedance quantile — at any
 // probability, however deep in the tail — can inflate by more than
-// maxGap. ConvolveAll's in-tree mode relies on this: its soft passes
+// maxGap. ConvolveAllWith's in-tree mode relies on this: its soft passes
 // pre-thin the operands' tail dust, and on such pre-thinned supports
 // the uncapped greedy engine's cost equilibrium rises until it flings
 // whole near-massless tail bands into the support maximum (exactly the
@@ -361,7 +361,7 @@ func quickselectFloat(a []float64, k int) float64 {
 	return a[lo]
 }
 
-// coarsenSoft is the in-tree coarsening pass of ConvolveAll: a linear
+// coarsenSoft is the in-tree coarsening pass of ConvolveAllWith: a linear
 // threshold approximation of the least-error greedy merge, with two
 // hard guards the greedy engine does not need.
 //

@@ -239,14 +239,14 @@ func TestCoarsenLeastErrorTailFidelityInTree(t *testing.T) {
 			rb, defaultMaxSupport)
 	}
 	exact := ConvolveAllWith(ds, 0, 4, CoarsenLeastError) // cap disabled: exact
-	inTree, st := convolveAllOpt(ds, defaultMaxSupport, 4, CoarsenLeastError)
+	inTree, st, _ := convolveAllOpt(ds, defaultMaxSupport, 4, CoarsenLeastError, nil)
 	if st.softBudget == 0 {
 		t.Fatal("in-tree coarsening did not arm on the 256-set configuration")
 	}
 	if st.softSpent > st.softBudget {
 		t.Fatalf("in-tree area spend %g exceeds the budget %g", st.softSpent, st.softBudget)
 	}
-	control := ConvolveAllExactWith(ds, defaultMaxSupport, 4, CoarsenLeastError)
+	control := mustExact(t, ds, defaultMaxSupport, CoarsenLeastError)
 	if !exact.DominatedBy(inTree, 1e-9) {
 		t.Fatal("the armed result does not dominate the exact distribution")
 	}

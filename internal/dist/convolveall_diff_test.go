@@ -9,21 +9,33 @@ import (
 )
 
 // This file is the differential suite pinning the optimized monoid
-// reduction (convolveAllOpt, behind ConvolveAll/ConvolveAllWith) to the
-// retained reference executor (ConvolveAllExactWith):
+// reduction (convolveAllOpt, behind ConvolveAllWith and
+// ConvolveAllCancelWith) to the retained reference executor
+// (ConvolveAllExact):
 //
 //   - byte identity whenever no coarsening binds, across input shapes
 //     (equal, shifted, distinct, mixed multisets), counts from 1 to 256,
-//     narrow and wide value spans, and worker counts 1 and 4 (the suite
-//     runs under -race in CI, so the parallel executors are exercised
-//     for data races too);
+//     narrow and wide value spans, and optimized-executor worker counts
+//     1 and 4 (the suite runs under -race in CI, so the parallel
+//     executor is exercised for data races too);
 //   - sound, bounded divergence when coarsening does bind: support cap
 //     respected, support maximum preserved, unit mass conserved, the
 //     exact distribution dominated, and the in-tree area spend within
 //     its advertised budget.
 
-// diffWorkers are the worker counts every differential case runs under.
+// diffWorkers are the worker counts every differential case runs the
+// optimized executor under.
 var diffWorkers = []int{1, 4}
+
+// mustExact runs the reference executor without a cancellation probe.
+func mustExact(t *testing.T, ds []*Dist, maxSupport int, strategy CoarsenStrategy) *Dist {
+	t.Helper()
+	d, err := ConvolveAllExact(ds, maxSupport, strategy, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 // mustDist builds a distribution from points or fails the test.
 func mustDist(t *testing.T, pts []Point) *Dist {
@@ -128,14 +140,13 @@ func TestConvolveAllByteIdenticalToExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range unboundCases(t, rng) {
 		for _, strategy := range []CoarsenStrategy{CoarsenLeastError, CoarsenKeepHeaviest} {
-			want := ConvolveAllExactWith(tc.ds, tc.cap, 1, strategy)
+			want := mustExact(t, tc.ds, tc.cap, strategy)
 			if tc.cap > 0 && want.Len() > tc.cap {
 				t.Fatalf("%s: corpus bug: cap %d binds (exact support %d)", tc.name, tc.cap, want.Len())
 			}
 			for _, workers := range diffWorkers {
 				label := fmt.Sprintf("%s/%v/workers=%d", tc.name, strategy, workers)
-				assertSameDist(t, label+"/opt", ConvolveAllWith(tc.ds, tc.cap, workers, strategy), want)
-				assertSameDist(t, label+"/exact", ConvolveAllExactWith(tc.ds, tc.cap, workers, strategy), want)
+				assertSameDist(t, label, ConvolveAllWith(tc.ds, tc.cap, workers, strategy), want)
 			}
 		}
 	}
@@ -151,27 +162,25 @@ func TestConvolveAllBoundedWhenCoarseningBinds(t *testing.T) {
 		ds := randomDists(t, rng, 2+rng.Intn(24), 5)
 		exact := ConvolveAllWith(ds, 0, 1, CoarsenLeastError)
 		maxSupport := 2 + rng.Intn(24)
+		labels := []string{"exact-executor"}
+		results := []*Dist{mustExact(t, ds, maxSupport, CoarsenLeastError)}
 		for _, workers := range diffWorkers {
-			for _, name := range []string{"opt", "exact-executor"} {
-				var got *Dist
-				if name == "opt" {
-					got = ConvolveAllWith(ds, maxSupport, workers, CoarsenLeastError)
-				} else {
-					got = ConvolveAllExactWith(ds, maxSupport, workers, CoarsenLeastError)
-				}
-				label := fmt.Sprintf("iter %d/%s/workers=%d", iter, name, workers)
-				if got.Len() > maxSupport {
-					t.Fatalf("%s: support %d exceeds cap %d", label, got.Len(), maxSupport)
-				}
-				if got.Max() != exact.Max() {
-					t.Fatalf("%s: support maximum %d, want %d", label, got.Max(), exact.Max())
-				}
-				if m := got.Mass(); math.Abs(m-1) > 1e-9 {
-					t.Fatalf("%s: mass drifted to %g", label, m)
-				}
-				if !exact.DominatedBy(got, 1e-9) {
-					t.Fatalf("%s: result does not dominate the exact distribution", label)
-				}
+			labels = append(labels, fmt.Sprintf("opt/workers=%d", workers))
+			results = append(results, ConvolveAllWith(ds, maxSupport, workers, CoarsenLeastError))
+		}
+		for i, got := range results {
+			label := fmt.Sprintf("iter %d/%s", iter, labels[i])
+			if got.Len() > maxSupport {
+				t.Fatalf("%s: support %d exceeds cap %d", label, got.Len(), maxSupport)
+			}
+			if got.Max() != exact.Max() {
+				t.Fatalf("%s: support maximum %d, want %d", label, got.Max(), exact.Max())
+			}
+			if m := got.Mass(); math.Abs(m-1) > 1e-9 {
+				t.Fatalf("%s: mass drifted to %g", label, m)
+			}
+			if !exact.DominatedBy(got, 1e-9) {
+				t.Fatalf("%s: result does not dominate the exact distribution", label)
 			}
 		}
 	}
@@ -214,10 +223,10 @@ func TestConvolveAllInTreeBudgetRespected(t *testing.T) {
 	if rb := reductionBound(canonicalSort(ds)); rb <= inTreeSlack*int64(maxSupport) {
 		t.Fatalf("corpus bug: reductionBound %d does not arm in-tree coarsening at cap %d", rb, maxSupport)
 	}
-	exact := ConvolveAllExactWith(ds, 0, 4, CoarsenLeastError)
+	exact := mustExact(t, ds, 0, CoarsenLeastError)
 	var ref *Dist
 	for _, workers := range diffWorkers {
-		got, st := convolveAllOpt(ds, maxSupport, workers, CoarsenLeastError)
+		got, st, _ := convolveAllOpt(ds, maxSupport, workers, CoarsenLeastError, nil)
 		label := fmt.Sprintf("workers=%d", workers)
 		if st.softBudget == 0 {
 			t.Fatalf("%s: in-tree coarsening did not arm", label)
@@ -258,7 +267,7 @@ func TestConvolveAllSharingStats(t *testing.T) {
 	for i := range eq {
 		eq[i] = base
 	}
-	_, st := convolveAllOpt(eq, 0, 1, CoarsenLeastError)
+	_, st, _ := convolveAllOpt(eq, 0, 1, CoarsenLeastError, nil)
 	if st.classes != 1 {
 		t.Fatalf("256 equal inputs: %d shift classes, want 1", st.classes)
 	}
@@ -273,7 +282,7 @@ func TestConvolveAllSharingStats(t *testing.T) {
 	for i := range sh {
 		sh[i] = base.Shift(int64(i))
 	}
-	_, st = convolveAllOpt(sh, 0, 1, CoarsenLeastError)
+	_, st, _ = convolveAllOpt(sh, 0, 1, CoarsenLeastError, nil)
 	if st.classes != 1 {
 		t.Fatalf("32 shifted copies: %d shift classes, want 1", st.classes)
 	}
@@ -283,7 +292,7 @@ func TestConvolveAllSharingStats(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(23))
 	distinct := randomDists(t, rng, 16, 6)
-	_, st = convolveAllOpt(distinct, 0, 1, CoarsenLeastError)
+	_, st, _ = convolveAllOpt(distinct, 0, 1, CoarsenLeastError, nil)
 	if st.classes < 2 {
 		t.Fatalf("distinct inputs: %d shift classes, want several", st.classes)
 	}
@@ -331,7 +340,6 @@ func FuzzConvolveAllPlan(f *testing.F) {
 		}
 		ref := ConvolveAllWith(ds, maxSupport, 1, CoarsenLeastError)
 		assertSameDist(t, "opt permuted", ConvolveAllWith(shuffled, maxSupport, 2, CoarsenLeastError), ref)
-		refExact := ConvolveAllExactWith(ds, maxSupport, 1, CoarsenLeastError)
-		assertSameDist(t, "exact permuted", ConvolveAllExactWith(shuffled, maxSupport, 2, CoarsenLeastError), refExact)
+		assertSameDist(t, "exact permuted", mustExact(t, shuffled, maxSupport, CoarsenLeastError), mustExact(t, ds, maxSupport, CoarsenLeastError))
 	})
 }

@@ -1,4 +1,4 @@
-// Monoid-structured reduction: the optimized ConvolveAll engine.
+// Monoid-structured reduction: the optimized ConvolveAllWith engine.
 //
 // The per-set penalty distributions the FMM stage produces are largely
 // identical or shifted copies of one another (one distribution per
@@ -200,13 +200,13 @@ type canonNode struct {
 	done   chan struct{}
 }
 
-// convolveAllOpt is the optimized ConvolveAll engine. The stats return
-// exists for the differential suite; the distribution is what callers
-// use.
+// convolveAllOpt is the optimized reduction behind ConvolveAllWith and
+// ConvolveAllCancelWith. The stats return exists for the differential
+// suite; the distribution is what callers use.
 //
 // Exactness conditions: the result is byte-identical to
-// ConvolveAllExactWith on the same inputs whenever no coarsening binds
-// — i.e. when reductionBound(ds) <= maxSupport, or maxSupport <= 0 —
+// ConvolveAllExact on the same inputs whenever no coarsening binds —
+// i.e. when reductionBound(ds) <= maxSupport, or maxSupport <= 0 —
 // because canonical ordering and plan are shared, pure-function subtree
 // sharing is bitwise-neutral, and Shift commutes bitwise with Convolve.
 // When only the final cap binds (reductionBound <=
@@ -218,22 +218,14 @@ type canonNode struct {
 // most εtotal; see the constants above), on top of the single-final-
 // coarsen bound — still a sound upper bound with the exact support
 // maximum, like every coarsening here.
-func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrategy) (*Dist, convolveAllStats) {
-	d, st, err := convolveAllOptCancel(ds, maxSupport, workers, strategy, nil)
-	if err != nil {
-		panic("dist: convolveAllOpt canceled without a probe: " + err.Error())
-	}
-	return d, st
-}
-
-// convolveAllOptCancel is convolveAllOpt with an optional cancellation
-// probe, consulted once per merge node (on whichever goroutine computes
-// it). The first non-nil probe error sticks: remaining nodes skip their
-// convolutions, every in-flight done channel still closes — no
-// goroutine outlives the call — and the error is returned in place of a
-// distribution. A nil probe adds no per-node overhead beyond one nil
-// check.
-func convolveAllOptCancel(ds []*Dist, maxSupport, workers int, strategy CoarsenStrategy, probe func() error) (*Dist, convolveAllStats, error) {
+//
+// probe, when non-nil, is consulted once up front and once per merge
+// node (on whichever goroutine computes it). The first non-nil probe
+// error sticks: remaining nodes skip their convolutions, every
+// in-flight done channel still closes — no goroutine outlives the call
+// — and the error is returned in place of a distribution. A nil probe
+// adds no per-node overhead beyond one nil check.
+func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrategy, probe func() error) (*Dist, convolveAllStats, error) {
 	var st convolveAllStats
 	var abortMu sync.Mutex
 	var abortErr error
@@ -345,7 +337,7 @@ func convolveAllOptCancel(ds []*Dist, maxSupport, workers int, strategy CoarsenS
 		}
 	}
 
-	compute := func(nd *canonNode, conv func(l, r *Dist) *Dist) {
+	compute := func(nd *canonNode) {
 		if checkCancel() != nil {
 			return // a child may have been skipped; leave result nil
 		}
@@ -357,7 +349,7 @@ func convolveAllOptCancel(ds []*Dist, maxSupport, workers int, strategy CoarsenS
 			r, sr = r.coarsenSoft(softTarget, half, softMaxGap(r, softTarget))
 			nd.spent = sl + sr
 		}
-		out := conv(l, r)
+		out := l.Convolve(r)
 		if softTarget > 0 && out.Len() > maxSupport {
 			// Armed nodes hard-coarsen with a span cap. The soft passes
 			// pre-thin the operands' tail dust, and on such pre-thinned
@@ -377,14 +369,15 @@ func convolveAllOptCancel(ds []*Dist, maxSupport, workers int, strategy CoarsenS
 	if workers <= 1 || len(internal) == 1 {
 		// Canon ids are in dependency order (children precede parents).
 		for _, nd := range internal {
-			compute(nd, func(l, r *Dist) *Dist { return l.Convolve(r) })
+			compute(nd)
 		}
 	} else {
-		// Dependency-driven parallel execution, one goroutine per
-		// unique node; identical to the exact executor's scheme. Every
-		// canon node is an ancestor-reachable dependency of the root
-		// (each plan node maps onto the canon DAG), so waiting for the
-		// root's done orders every write before the reads below.
+		// Dependency-driven parallel execution: one goroutine per unique
+		// node waits for its children, takes a worker slot, computes and
+		// publishes. Every canon node is an ancestor-reachable
+		// dependency of the root (each plan node maps onto the canon
+		// DAG), so waiting for the root's done orders every write before
+		// the reads below.
 		sem := make(chan struct{}, workers)
 		for _, nd := range internal {
 			nd.done = make(chan struct{})
@@ -398,7 +391,7 @@ func convolveAllOptCancel(ds []*Dist, maxSupport, workers int, strategy CoarsenS
 					<-c.done
 				}
 				sem <- struct{}{}
-				compute(nd, func(l, r *Dist) *Dist { return convolveWorkersSem(l, r, workers, sem) })
+				compute(nd)
 				<-sem
 				close(nd.done)
 			}(nd)

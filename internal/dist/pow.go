@@ -8,7 +8,7 @@ import "fmt"
 // k−1 of a sequential fold. Distributions form a commutative monoid
 // under Convolve with Degenerate(0) as the neutral element, which is
 // exactly what makes the square-and-multiply recombination valid;
-// ConvolveAll exploits the same structure implicitly by sharing the
+// ConvolveAllWith exploits the same structure implicitly by sharing the
 // repeated subtrees of its merge plan when many inputs are equal.
 //
 // k == 0 returns Degenerate(0); k == 1 returns the receiver itself.

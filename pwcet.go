@@ -86,12 +86,13 @@
 // additionally schedule whole queries over the same pool. The results
 // are byte-identical for every worker count and batch order: each
 // set's ILPs are solved on a private simplex restored to the same
-// pristine basis, the per-set distributions are reduced by a pairwise
-// tree whose shape depends only on the set count, and every memoized
-// Engine artifact is a pure function of its key, so neither goroutine
-// scheduling nor pool size nor query interleaving can influence any
-// FMM entry, distribution atom, or pWCET. Parallelism changes
-// wall-clock time, never results.
+// pristine basis, the per-set distributions are reduced by a merge
+// plan that depends only on their canonical order and support sizes
+// (never on the worker count), every merge node runs one sequential
+// convolution, and every memoized Engine artifact is a pure function
+// of its key, so neither goroutine scheduling nor pool size nor query
+// interleaving can influence any FMM entry, distribution atom, or
+// pWCET. Parallelism changes wall-clock time, never results.
 //
 // The optimized hot paths keep differential escape hatches:
 // Options.Reference re-runs an analysis on the retained dense
