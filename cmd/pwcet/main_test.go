@@ -349,6 +349,31 @@ func TestBatchCustomCache(t *testing.T) {
 	}
 }
 
+// TestBatchCycleOverflowIsAnError: a memory latency whose cycle counts
+// overflow int64 fails the batch with exit 1 and a one-line error
+// naming the overflowing operation, never with a recovered panic.
+func TestBatchCycleOverflowIsAnError(t *testing.T) {
+	spec := `{
+		"benchmarks": ["bs"],
+		"pfails": [1e-4],
+		"mechanisms": ["none", "rw", "srb"],
+		"cache": {"sets": 16, "ways": 4, "block_bytes": 16, "hit_latency": 1, "mem_latency": 461168601842738790}
+	}`
+	code, stdout, stderr := runCmd(t, "-batch", writeSpec(t, spec), "-ndjson")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, stderr)
+	}
+	if !strings.Contains(stderr, "WCET") || !strings.Contains(stderr, "overflows int64") {
+		t.Errorf("stderr %q does not name the overflowing WCET", stderr)
+	}
+	if strings.Contains(stderr, "panic") {
+		t.Errorf("stderr %q reports a panic", stderr)
+	}
+	if stdout != "" {
+		t.Errorf("rows printed despite the error: %q", stdout)
+	}
+}
+
 // TestBatchCoarsenStrategy: the spec's coarsen field reaches every
 // query — rows match one-shot analyses run with the same strategy and
 // binding cap.

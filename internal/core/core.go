@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/absint"
 	"repro/internal/cache"
@@ -410,7 +411,13 @@ func (r *Result) buildDistributionsCancel(workers int, probe func() error) error
 		// accumulator, plus one miss penalty per vulnerable access (the
 		// transient misses themselves lengthen the run).
 		_, lambda := fault.Components(r.Scenario)
-		window := r.FaultFreeWCET + penalty.Max() + cfg.MissPenalty()*r.HitBounds.Total()
+		window, ok := addCycles(r.FaultFreeWCET, penalty.Max())
+		transient, ok2 := mulCycles(cfg.MissPenalty(), r.HitBounds.Total())
+		window, ok3 := addCycles(window, transient)
+		if !ok || !ok2 || !ok3 {
+			return fmt.Errorf("core: transient window (fault-free WCET %d + penalty %d + %d accesses x %d cycles) overflows int64",
+				r.FaultFreeWCET, penalty.Max(), r.HitBounds.Total(), cfg.MissPenalty())
+		}
 		tm, err := fault.NewTransientModel(lambda, window)
 		if err != nil {
 			return err
@@ -421,6 +428,10 @@ func (r *Result) buildDistributionsCancel(workers int, probe func() error) error
 		if err != nil {
 			return err
 		}
+	}
+	if _, ok := addCycles(r.FaultFreeWCET, penalty.Max()); !ok {
+		return fmt.Errorf("core: pWCET (fault-free WCET %d + penalty %d) overflows int64",
+			r.FaultFreeWCET, penalty.Max())
 	}
 	r.Penalty = penalty
 	return nil
@@ -447,7 +458,10 @@ func convolveFMM(fmm ipet.FMM, cfg cache.Config, model fault.Model, mech cache.M
 	if err != nil {
 		return nil, nil, err
 	}
-	acc = acc.Convolve(total).CoarsenToWith(maxSupport, strategy)
+	acc, err = foldPenalty(acc, total, maxSupport, strategy)
+	if err != nil {
+		return nil, nil, err
+	}
 	return perSet, acc, nil
 }
 
@@ -459,7 +473,12 @@ func perSetPenalties(fmm ipet.FMM, pwf []float64, cfg cache.Config) ([]*dist.Dis
 	for s := range perSet {
 		pts := make([]dist.Point, 0, len(pwf))
 		for f, prob := range pwf {
-			pts = append(pts, dist.Point{Value: fmm[s][f] * cfg.MissPenalty(), Prob: prob})
+			v, ok := mulCycles(fmm[s][f], cfg.MissPenalty())
+			if !ok {
+				return nil, fmt.Errorf("core: set %d penalty (%d misses x %d cycles) overflows int64",
+					s, fmm[s][f], cfg.MissPenalty())
+			}
+			pts = append(pts, dist.Point{Value: v, Prob: prob})
 		}
 		d, err := dist.New(pts)
 		if err != nil {
@@ -476,6 +495,16 @@ func perSetPenalties(fmm ipet.FMM, pwf []float64, cfg cache.Config) ([]*dist.Dis
 // cancellation hook checked at every merge node.
 func convolveSets(perSet []*dist.Dist, maxSupport int, strategy dist.CoarsenStrategy, workers int, exact bool,
 	probe func() error) (*dist.Dist, error) {
+	// Every partial sum of the reduction is bounded by the sum of the
+	// per-set maxima (penalties are non-negative), so one check up front
+	// keeps Convolve's overflow panic unreachable.
+	var sum int64
+	for s, d := range perSet {
+		var ok bool
+		if sum, ok = addCycles(sum, d.Max()); !ok {
+			return nil, fmt.Errorf("core: penalty reduction overflows int64 at set %d (maximum penalty %d)", s, d.Max())
+		}
+	}
 	if exact {
 		return dist.ConvolveAllExact(perSet, maxSupport, strategy, probe)
 	}
@@ -515,7 +544,32 @@ func convolveTransient(acc *dist.Dist, hb ipet.HitBounds, cfg cache.Config, tm f
 	if err != nil {
 		return nil, err
 	}
+	return foldPenalty(acc, total, maxSupport, strategy)
+}
+
+// foldPenalty convolves a reduced penalty distribution into the
+// accumulator and coarsens the result, or reports an error when the
+// largest penalty sum overflows int64.
+func foldPenalty(acc, total *dist.Dist, maxSupport int, strategy dist.CoarsenStrategy) (*dist.Dist, error) {
+	if _, ok := addCycles(acc.Max(), total.Max()); !ok {
+		return nil, fmt.Errorf("core: penalty fold (%d + %d) overflows int64", acc.Max(), total.Max())
+	}
 	return acc.Convolve(total).CoarsenToWith(maxSupport, strategy), nil
+}
+
+// addCycles returns a+b and whether it fits int64.
+func addCycles(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (s > a) == (b > 0)
+}
+
+// mulCycles returns a*b and whether it fits int64.
+func mulCycles(a, b int64) (int64, bool) {
+	p := a * b
+	if a != 0 && (p/a != b || (a == -1 && b == math.MinInt64)) {
+		return p, false
+	}
+	return p, true
 }
 
 // PWCETAt returns the pWCET at an arbitrary exceedance probability,

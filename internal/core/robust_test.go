@@ -3,11 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/fault"
+	"repro/internal/malardalen"
+	"repro/internal/program"
 )
 
 // waitGoroutines polls until the goroutine count drops back to at most
@@ -242,6 +247,66 @@ func TestPanicPoisonsEngine(t *testing.T) {
 	}
 	if ms.PinnedBytes != 0 || ms.PinnedArtifacts != 0 {
 		t.Errorf("poisoning query stranded pins: %+v", ms)
+	}
+}
+
+// TestCycleOverflowIsAnError: a memory latency so large that a cycle
+// count no longer fits int64 — the fault-free WCET, a set's penalty, the
+// sum the penalty reduction would reach, the fold of the data-cache
+// penalty into the instruction-cache one, the transient window, or the
+// pWCET itself — is reported as an error naming the failed operation,
+// by the one-shot pipeline and by an engine alike. The engine stays
+// usable: the overflow is a property of the query, not a panic that
+// poisons it.
+func TestCycleOverflowIsAnError(t *testing.T) {
+	latency := func(cfg cache.Config, mem int64) *cache.Config {
+		cfg.MemLatency = mem
+		return &cfg
+	}
+	paper := cache.PaperConfig()
+	cases := []struct {
+		p      *program.Program
+		icache *cache.Config
+		dcache *cache.Config
+		scn    fault.Scenario
+		want   string
+	}{
+		{malardalen.MustGet("bs"), latency(paper, 461168601842738790), nil, fault.Permanent{Pfail: 1e-4}, "ipet: WCET"},
+		{malardalen.MustGet("bs"), latency(paper, 1e17), nil, fault.Permanent{Pfail: 1e-4}, "core: penalty reduction"},
+		{malardalen.MustGet("bs"), latency(paper, 85e15), nil, fault.Permanent{Pfail: 1e-4}, "core: pWCET"},
+		{malardalen.MustGet("crc"), latency(paper, 1e16), nil, fault.Permanent{Pfail: 1e-4}, "core: set 0 penalty"},
+		{malardalen.MustGet("crc"), latency(paper, 1e16), nil, fault.Transient{Lambda: 1e-9}, "core: transient window"},
+		{buildDataProgram(), latency(dcacheConfig(), 3e16), latency(dcacheConfig(), 1e17), fault.Permanent{Pfail: 1e-3}, "core: penalty fold"},
+	}
+	for _, tc := range cases {
+		label := fmt.Sprintf("%s at latency %d (%v)", tc.p.Name, tc.icache.MemLatency, tc.scn)
+		check := func(how string, err error) {
+			t.Helper()
+			var pe *PanicError
+			switch {
+			case err == nil:
+				t.Fatalf("%s, %s: no error", label, how)
+			case errors.As(err, &pe):
+				t.Fatalf("%s, %s: panicked: %v", label, how, err)
+			case !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "overflows int64"):
+				t.Fatalf("%s, %s: error %q, want %q ... overflows int64", label, how, err, tc.want)
+			}
+		}
+		_, err := Analyze(tc.p, Options{Cache: *tc.icache, DataCache: tc.dcache, Scenario: tc.scn, Mechanism: cache.MechanismNone})
+		check("one-shot", err)
+
+		eng, err := NewEngine(tc.p, EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = eng.Analyze(Query{Cache: *tc.icache, DataCache: tc.dcache, Scenario: tc.scn, Mechanism: cache.MechanismNone})
+		check("engine", err)
+		if eng.Poisoned() {
+			t.Fatalf("%s: the overflow poisoned the engine", label)
+		}
+		if _, err := eng.Analyze(Query{Pfail: 1e-4}); err != nil {
+			t.Fatalf("%s: engine unusable after the overflow: %v", label, err)
+		}
 	}
 }
 

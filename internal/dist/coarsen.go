@@ -19,8 +19,9 @@
 // exactly mass(i) on the interval [v_i, v_j) and nowhere else, adding
 // area mass(i)·(v_j − v_i) between the coarse and exact curves. The
 // scheme repeatedly merges the adjacent pair with the smallest such
-// incremental area (a heap over candidate pairs with lazy
-// invalidation, O(n log n)), so light, closely spaced atoms — the deep
+// incremental area (an indexed heap holding one entry per live pair,
+// re-keyed in place as merges change it, O(n log n)), so light,
+// closely spaced atoms — the deep
 // tail dust of a convolved fault distribution — collapse locally
 // instead of being flung to the support maximum. The total area added
 // to the exceedance curve is the sum of the chosen incremental costs;
@@ -151,32 +152,6 @@ func (d *Dist) CoarsenToWith(maxSupport int, strategy CoarsenStrategy) *Dist {
 	}
 }
 
-// mergeCand is one candidate adjacent merge: atom left into its
-// current right neighbor, at the exceedance-area cost recorded when
-// the candidate was pushed. Stale candidates (the pair changed since)
-// are recognized by the version stamp and skipped on pop.
-//
-// Candidates live in a flat min-heap ordered by (cost, left) —
-// maintained with the package's shared siftDownFunc instead of
-// container/heap, whose interface methods box every popped element.
-// The in-tree coarsening of ConvolveAllWith runs this engine at every big
-// merge node, so the heap is on the reduction's critical path.
-type mergeCand struct {
-	cost float64
-	left int
-	ver  uint32
-}
-
-// mergeCandLess orders candidates by cost, ties broken by the left
-// index so the merge sequence — and therefore the result — is
-// deterministic.
-func mergeCandLess(a, b mergeCand) bool {
-	if a.cost != b.cost {
-		return a.cost < b.cost
-	}
-	return a.left < b.left
-}
-
 // coarsenLeastError implements CoarsenLeastError: the capped engine
 // with the span cap disabled, which makes every candidate eligible and
 // reproduces the classic greedy least-error merge bit for bit.
@@ -185,11 +160,12 @@ func (d *Dist) coarsenLeastError(target int) *Dist {
 }
 
 // coarsenLeastErrorCapped is the greedy least-error merge engine: a
-// doubly linked list of live atoms plus a lazily invalidated min-heap
-// of adjacent-pair merge costs. Each merge moves the left atom's
-// (accumulated) mass to its right neighbor, exactly the upward
-// direction the soundness contract requires; the rightmost atom has no
-// right neighbor, so the support maximum can never move.
+// doubly linked list of live atoms plus an exact indexed min-heap
+// (pairHeap) holding one (cost, left) entry per live, span-eligible
+// adjacent pair. Each merge moves the left atom's (accumulated) mass to
+// its right neighbor, exactly the upward direction the soundness
+// contract requires; the rightmost atom has no right neighbor, so the
+// support maximum can never move.
 //
 // maxGap additionally bounds every merged run's value span: a merge is
 // eligible only while destination − (smallest value folded into the
@@ -207,11 +183,17 @@ func (d *Dist) coarsenLeastError(target int) *Dist {
 // survivors — the support bound is the contract, the span cap is best
 // effort.
 //
-// Eligibility is checked once, when a candidate is pushed: any change
-// to a pair — partner, accumulated mass, and with it the run's span —
-// bumps ver and re-pushes, so a non-stale candidate's pair is in
-// exactly the state it was pushed in, and maxGap = +Inf short-circuits
-// the check for the classic engine.
+// Merging left atom i into j = next[i] touches exactly two other pairs:
+// (j, next[j]), whose left mass grew, and (prev[i], j), whose right
+// partner moved up to a larger value. Both costs can only rise (each is
+// a product of non-negative factors that only grew, and float64
+// rounding is monotone), and both spans can only widen, so a frozen
+// (span-ineligible) pair never becomes eligible again. The heap
+// therefore re-keys those two entries by sifting down, or removes them
+// when they lose eligibility, and otherwise never changes: it always
+// holds exactly the current eligible pairs, and every pop is the
+// minimum (cost, left) among them — the pop order of the greedy merge.
+// maxGap = +Inf makes every pair eligible for the classic engine.
 func (d *Dist) coarsenLeastErrorCapped(target int, maxGap float64) *Dist {
 	n := len(d.values)
 	mass := make([]float64, n)
@@ -222,82 +204,56 @@ func (d *Dist) coarsenLeastErrorCapped(target int, maxGap float64) *Dist {
 	}
 	next := make([]int, n)
 	prev := make([]int, n)
-	ver := make([]uint32, n)
 	removed := make([]bool, n)
 	for i := range next {
 		next[i] = i + 1
 		prev[i] = i - 1
 	}
-	h := make([]mergeCand, 0, n)
 	// The gap is computed in float64 (values are sorted, but the int64
 	// difference of two extreme values may not fit int64); the cost is
 	// a merge-ordering heuristic, so the rounding is harmless.
-	append_ := func(i int) {
-		j := next[i]
-		if float64(d.values[j])-low[i] > maxGap {
-			return // run span cap: this merge would travel too far
-		}
-		h = append(h, mergeCand{
-			cost: mass[i] * (float64(d.values[j]) - float64(d.values[i])),
-			left: i,
-			ver:  ver[i],
-		})
+	frozen := func(i int) bool {
+		return float64(d.values[next[i]])-low[i] > maxGap // run span cap: this merge would travel too far
 	}
-	push := func(i int) {
-		append_(i)
-		for c := len(h) - 1; c > 0; {
-			p := (c - 1) / 2
-			if !mergeCandLess(h[c], h[p]) {
-				break
-			}
-			h[c], h[p] = h[p], h[c]
-			c = p
-		}
+	cost := func(i int) float64 {
+		return mass[i] * (float64(d.values[next[i]]) - float64(d.values[i]))
 	}
+	h := newPairHeap(n)
 	for i := 0; i < n-1; i++ {
-		append_(i)
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDownFunc(h, i, mergeCandLess)
-	}
-	pop := func() mergeCand {
-		top := h[0]
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		siftDownFunc(h, 0, mergeCandLess)
-		return top
-	}
-	// Invariant: every live adjacent pair (i, next[i]) whose merge is
-	// span-eligible has at least one heap candidate stamped with the
-	// current ver[i]; any change to the pair (partner or mass) bumps
-	// ver[i] and re-pushes. Without a span cap there is always a live
-	// pair while alive > target >= 1, so the heap runs dry only when
-	// the cap has frozen every remaining pair.
-	alive := n
-	for alive > target && len(h) > 0 {
-		c := pop()
-		if c.ver != ver[c.left] {
-			continue // stale: the pair changed after this candidate was pushed
+		if !frozen(i) {
+			h.add(cost(i), i)
 		}
-		i := c.left
+	}
+	h.heapify()
+	// rekey refreshes pair (i, next[i]) after a merge changed it: a pair
+	// outside the heap is frozen for good, one that just froze leaves.
+	rekey := func(i int) {
+		switch {
+		case !h.has(i):
+		case frozen(i):
+			h.remove(i)
+		default:
+			h.raise(i, cost(i))
+		}
+	}
+	alive := n
+	for alive > target && h.len() > 0 {
+		i := h.popMin()
 		j := next[i]
 		mass[j] += mass[i]
 		if low[i] < low[j] {
 			low[j] = low[i]
 		}
 		removed[i] = true
-		ver[i]++ // i is gone: invalidate (i, j)
-		ver[j]++ // j's mass grew: invalidate (j, next[j])
 		if p := prev[i]; p >= 0 {
 			next[p] = j
 			prev[j] = p
-			ver[p]++ // p's partner changed: invalidate (p, i)
-			push(p)
+			rekey(p)
 		} else {
 			prev[j] = -1
 		}
 		if next[j] < n {
-			push(j)
+			rekey(j)
 		}
 		alive--
 	}
@@ -315,6 +271,127 @@ func (d *Dist) coarsenLeastErrorCapped(target int, maxGap float64) *Dist {
 		return fromSorted(values, probs).coarsenLeastError(target)
 	}
 	return fromSorted(values, probs)
+}
+
+// pairEntry is one merge candidate: the pair (left, next[left]) at its
+// current exceedance-area cost.
+type pairEntry struct {
+	cost float64
+	left int32
+}
+
+// pairLess orders candidates by cost, ties broken by the left index so
+// the merge sequence — and therefore the result — is deterministic.
+func pairLess(a, b pairEntry) bool {
+	return a.cost < b.cost || (a.cost == b.cost && a.left < b.left)
+}
+
+// pairHeap is the indexed 4-ary min-heap of coarsenLeastErrorCapped:
+// at most one entry per left index, with pos[left] its slot (-1 when
+// absent), so an entry is re-keyed or removed in place. Four children
+// per node halve the depth of a binary heap, and the comparisons are
+// direct calls the compiler inlines — this heap is on the in-tree
+// reduction's critical path.
+type pairHeap struct {
+	a   []pairEntry
+	pos []int32
+}
+
+func newPairHeap(n int) *pairHeap {
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	return &pairHeap{a: make([]pairEntry, 0, n), pos: pos}
+}
+
+func (h *pairHeap) len() int       { return len(h.a) }
+func (h *pairHeap) has(i int) bool { return h.pos[i] >= 0 }
+
+// add appends an entry without restoring the heap order; heapify
+// restores it once all initial entries are in.
+func (h *pairHeap) add(cost float64, i int) {
+	h.pos[i] = int32(len(h.a))
+	h.a = append(h.a, pairEntry{cost: cost, left: int32(i)})
+}
+
+func (h *pairHeap) heapify() {
+	for k := (len(h.a)+2)/4 - 1; k >= 0; k-- { // the last node with a child first
+		h.down(k)
+	}
+}
+
+// popMin removes the minimum entry and returns its left index.
+func (h *pairHeap) popMin() int {
+	i := int(h.a[0].left)
+	h.remove(i)
+	return i
+}
+
+// raise re-keys entry i to a cost no smaller than its current one.
+func (h *pairHeap) raise(i int, cost float64) {
+	k := int(h.pos[i])
+	h.a[k].cost = cost
+	h.down(k)
+}
+
+// remove deletes entry i, filling its slot with the last entry.
+func (h *pairHeap) remove(i int) {
+	k := int(h.pos[i])
+	h.pos[i] = -1
+	last := len(h.a) - 1
+	e := h.a[last]
+	h.a = h.a[:last]
+	if k == last {
+		return
+	}
+	h.a[k] = e
+	h.pos[e.left] = int32(k)
+	if k > 0 && pairLess(e, h.a[(k-1)/4]) {
+		h.up(k)
+	} else {
+		h.down(k)
+	}
+}
+
+func (h *pairHeap) up(k int) {
+	e := h.a[k]
+	for k > 0 {
+		p := (k - 1) / 4
+		if !pairLess(e, h.a[p]) {
+			break
+		}
+		h.a[k] = h.a[p]
+		h.pos[h.a[k].left] = int32(k)
+		k = p
+	}
+	h.a[k] = e
+	h.pos[e.left] = int32(k)
+}
+
+func (h *pairHeap) down(k int) {
+	a := h.a
+	e := a[k]
+	for {
+		c := 4*k + 1
+		if c >= len(a) {
+			break
+		}
+		m := c
+		for x, end := c+1, min(c+4, len(a)); x < end; x++ {
+			if pairLess(a[x], a[m]) {
+				m = x
+			}
+		}
+		if !pairLess(a[m], e) {
+			break
+		}
+		a[k] = a[m]
+		h.pos[a[k].left] = int32(k)
+		k = m
+	}
+	a[k] = e
+	h.pos[e.left] = int32(k)
 }
 
 // quickselectFloat partially sorts a in place and returns its k-th

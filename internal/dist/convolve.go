@@ -17,14 +17,21 @@ const maxDenseSpan = 1 << 22
 //   - a degenerate operand turns the convolution into a Shift;
 //   - when the result's value span is small relative to the number of
 //     atom pairs (the common case: penalties share the miss-penalty
-//     granularity), products are accumulated into a single
-//     preallocated buffer indexed by value offset, O(n·m) with no
-//     sorting and no allocation beyond the buffer and the result;
-//   - when the raw span is too wide but both supports share a common
-//     value stride g > 1 (penalties are multiples of the miss penalty,
-//     so whole reduction trees do), the same flat accumulation runs on
-//     the compressed grid base + k·g with span/g cells — bitwise the
-//     same atoms in the same order, at a fraction of the buffer;
+//     granularity), one dense kernel (convolveDenseStride) accumulates
+//     the products into a single preallocated buffer on the grid
+//     base + k·g, O(n·m) with no sorting and no allocation beyond the
+//     buffer and the result. g is 1 — a plain value-offset buffer —
+//     unless the span is large and both supports share a common value
+//     stride g > 1 (penalties are multiples of the miss penalty, so
+//     whole reduction trees do); then the grid has span/g cells,
+//     bitwise the same atoms in the same order at a fraction of the
+//     buffer, and a raw span too wide for the buffer may still fit;
+//   - the dense kernel skips, per outer atom, the inner atoms whose
+//     products are provably below half the smallest subnormal (from
+//     the binary exponents alone) and so round to +0 — deep-tail dust
+//     times deep-tail dust, which would otherwise each take the CPU's
+//     slow subnormal path. Adding +0 changes no cell, so the result is
+//     bit for bit the full product sum;
 //   - otherwise — wide-span operands, the shape of the high levels of
 //     ConvolveAllWith's merge tree — the n sorted per-atom sum streams
 //     are merged through a deterministic k-way heap, O(n·m·log k) with
@@ -63,12 +70,13 @@ func (d *Dist) Convolve(o *Dist) *Dist {
 	// span itself would wrap to 0.
 	diff := uint64(d.values[n-1]+o.values[m-1]) - uint64(base)
 	if diff < uint64(denseLimit(n*m)) {
+		g := uint64(1)
 		if diff >= minStrideCells {
-			if g := strideGCD(d, o); g > 1 {
-				return d.convolveDenseStride(o, base, int(diff/g)+1, g)
+			if s := strideGCD(d, o); s > 1 {
+				g = s
 			}
 		}
-		return d.convolveDense(o, base, int(diff)+1)
+		return d.convolveDenseStride(o, base, int(diff/g)+1, g)
 	}
 	// A raw span too wide for the dense buffer often compresses onto a
 	// coarse grid: penalty values are multiples of the cache miss
@@ -81,11 +89,11 @@ func (d *Dist) Convolve(o *Dist) *Dist {
 	return d.convolveKWay(o)
 }
 
-// minStrideCells is the raw span under which the plain dense buffer is
-// already cache-resident and the stride grid would only add the offset
-// precomputation. Above it, a shared stride g > 1 divides the buffer
-// (the two dense paths produce bitwise-identical results, so the choice
-// is purely a locality matter).
+// minStrideCells is the raw span under which the g = 1 buffer is
+// already cache-resident and the gcd pass that finds a shared stride is
+// not worth its time. Above it, a shared stride g > 1 divides the
+// buffer (every grid gives bitwise-identical results, so the choice is
+// purely a locality matter).
 const minStrideCells = 1 << 15
 
 // strideGCD returns the greatest common divisor of every adjacent value
@@ -134,50 +142,35 @@ func denseLimit(pairs int) int {
 	return l
 }
 
-// convolveDense accumulates pair products into a value-indexed buffer.
-func (d *Dist) convolveDense(o *Dist, base int64, span int) *Dist {
-	buf := make([]float64, span)
-	for i, vi := range d.values {
-		pi := d.probs[i]
-		off := vi - base
-		for j, vj := range o.values {
-			buf[off+vj] += pi * o.probs[j]
-		}
-	}
-	cnt := 0
-	for _, p := range buf {
-		if p > 0 {
-			cnt++
-		}
-	}
-	values := make([]int64, 0, cnt)
-	probs := make([]float64, 0, cnt)
-	for k, p := range buf {
-		if p > 0 {
-			values = append(values, base+int64(k))
-			probs = append(probs, p)
-		}
-	}
-	return fromSorted(values, probs)
-}
-
-// convolveDenseStride is convolveDense on the compressed grid
-// base + k·g: when both operands' supports share a stride g > 1, every
-// pair sum lands on the grid and the accumulator needs span/g cells
-// instead of span — a 20 MB cache-thrashing buffer shrinks to a
-// cache-resident one for miss-penalty-aligned supports. The inner loop
-// adds into a contiguous offset-indexed row (ooff is precomputed once,
-// no per-atom division or search), and a cell's contributions arrive in
-// the same ascending-i order as convolveDense, so the choice between
-// the two dense paths can never change an atom's accumulation order.
+// convolveDenseStride is the dense convolution kernel: it accumulates
+// pair products into a value-indexed buffer on the grid base + k·g.
+// g = 1 is the plain value-offset buffer; when both operands' supports
+// share a stride g > 1, every pair sum lands on the grid and the
+// accumulator needs span/g cells instead of span — a 20 MB
+// cache-thrashing buffer shrinks to a cache-resident one for
+// miss-penalty-aligned supports. The outer loop runs over d in
+// ascending order and adds each of its atoms' products into one
+// contiguous offset-indexed row, where every cell receives at most one
+// product; so each cell sums its products in ascending outer index,
+// whatever g is and in whatever order a row visits the inner atoms.
+//
+// A row skips the inner atoms whose products must round to +0 (see
+// innerBands); adding +0 to a non-negative cell is the identity, so
+// every cell still sums exactly the same nonzero products in the same
+// order, bit for bit.
 func (d *Dist) convolveDenseStride(o *Dist, base int64, cells int, g uint64) *Dist {
 	buf := make([]float64, cells)
-	ooff := denseOffsets(o, g)
+	in := bandInner(d, o, g)
 	for i, vi := range d.values {
 		pi := d.probs[i]
 		row := buf[(uint64(vi)-uint64(d.values[0]))/g:]
-		for j, oj := range ooff {
-			row[oj] += pi * o.probs[j]
+		off := in.off
+		if e := biasedExp(pi); e < in.keepAll {
+			off = off[:in.kept(e)]
+		}
+		q := in.probs[:len(off)]
+		for j, oj := range off {
+			row[oj] += pi * q[j]
 		}
 	}
 	cnt := 0
@@ -198,6 +191,83 @@ func (d *Dist) convolveDenseStride(o *Dist, base int64, cells int, g uint64) *Di
 		}
 	}
 	return fromSorted(values, probs)
+}
+
+// minKeptExpSum is the smallest sum of biased exponents whose product
+// can be nonzero. A positive float64 with biased exponent E (0 for
+// subnormals) is below 2^(E−1022), so a product of two with biased
+// exponents summing to at most 969 is below 2^−1075 — at most half the
+// smallest subnormal — and rounds to +0 (2^−1075 itself is a tie that
+// rounds to the even +0).
+const minKeptExpSum = 970
+
+// biasedExp returns the biased binary exponent of a non-negative
+// float64: 0 for zero and subnormals, 1..2046 for normal numbers.
+func biasedExp(x float64) int { return int(math.Float64bits(x) >> 52) }
+
+// innerBands is the inner operand of a dense convolution laid out for
+// the underflow skip: its atoms' cell offsets and probabilities in
+// bands of descending binary exponent, value order within each band.
+// A row with probability exponent ep needs only the bands with
+// ep + eq >= minKeptExpSum — a prefix — and the rows with
+// ep >= keepAll need all of them (one comparison). When no pair of
+// the two operands can underflow, the atoms stay in value order with
+// keepAll = 0, so every row keeps every atom.
+type innerBands struct {
+	off     []int
+	probs   []float64
+	keepAll int
+	maxExp  int   // largest biased exponent among the inner atoms
+	ends    []int // ends[k]: the number of atoms with exponent >= maxExp-k
+}
+
+// kept returns how many leading atoms a row with biased exponent
+// ep < keepAll needs: those with exponent >= minKeptExpSum − ep.
+func (b *innerBands) kept(ep int) int {
+	k := b.maxExp - (minKeptExpSum - ep)
+	if k < 0 {
+		return 0
+	}
+	return b.ends[k]
+}
+
+// bandInner lays o out for a dense convolution with outer operand d on
+// the stride-g grid. The bands are a stable counting sort of o's atoms
+// by exponent, O(len(o) + exponent range), and are only built when
+// some pair of d and o can underflow.
+func bandInner(d, o *Dist, g uint64) innerBands {
+	minP, minQ, maxQ := 2047, 2047, 0
+	for _, p := range d.probs {
+		minP = min(minP, biasedExp(p))
+	}
+	for _, q := range o.probs {
+		e := biasedExp(q)
+		minQ = min(minQ, e)
+		maxQ = max(maxQ, e)
+	}
+	if minP+minQ >= minKeptExpSum {
+		return innerBands{off: denseOffsets(o, g), probs: o.probs}
+	}
+	// ends first counts each band, then holds its start, and after the
+	// scatter — in ascending j, so value order within a band — its end.
+	ends := make([]int, maxQ-minQ+1)
+	for _, q := range o.probs {
+		ends[maxQ-biasedExp(q)]++
+	}
+	start := 0
+	for k, c := range ends {
+		ends[k] = start
+		start += c
+	}
+	off := make([]int, len(o.values))
+	probs := make([]float64, len(o.values))
+	for j, q := range o.probs {
+		k := maxQ - biasedExp(q)
+		off[ends[k]] = int((uint64(o.values[j]) - uint64(o.values[0])) / g)
+		probs[ends[k]] = q
+		ends[k]++
+	}
+	return innerBands{off: off, probs: probs, keepAll: minKeptExpSum - minQ, maxExp: maxQ, ends: ends}
 }
 
 // denseOffsets precomputes each atom's cell offset (v - Min) / g.
@@ -230,10 +300,10 @@ type streamHead struct {
 // contributions are summed in ascending stream order, the same order
 // the dense path uses.
 //
-// The sift is a local closure rather than the shared siftDownFunc on
-// purpose: this loop runs O(n·m) times on the wide-span hot path and
-// the indirect comparison call costs ~30% there (measured on
-// BenchmarkConvolveWideSpan).
+// The sift is a local closure rather than the generic siftDownFunc of
+// the merge-plan builder on purpose: this loop runs O(n·m) times on the
+// wide-span hot path and the indirect comparison call costs ~30% there
+// (measured on BenchmarkConvolveWideSpan).
 func (d *Dist) convolveKWay(o *Dist) *Dist {
 	if len(d.values) > len(o.values) {
 		d, o = o, d

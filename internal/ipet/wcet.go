@@ -2,6 +2,7 @@ package ipet
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -86,7 +87,13 @@ func WCETCombined(sys *System, ia *absint.Analyzer, icls []chmc.Class,
 	if err != nil {
 		return nil, err
 	}
-	res.WCET = int64(math.Round(r.Objective))
+	// float64(math.MaxInt64) rounds up to 2^63, which is itself out of
+	// range, hence the strict bound.
+	w := math.Round(r.Objective)
+	if !(w >= math.MinInt64 && w < math.MaxInt64) {
+		return nil, fmt.Errorf("ipet: WCET of %g cycles overflows int64", r.Objective)
+	}
+	res.WCET = int64(w)
 	res.BlockCounts = r.BlockCounts
 	return res, nil
 }
