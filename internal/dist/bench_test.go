@@ -8,6 +8,7 @@ package dist
 // set — while "xSelf" measures the quadratic worst case.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -101,6 +102,100 @@ func BenchmarkConvolveWideSpan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = x.Convolve(y)
+	}
+}
+
+// benchTailDist builds an n-atom distribution on the stride-100 grid
+// whose masses fall geometrically from the bottom atom to about 1e-320
+// at the top: the shape of the permanent and transient penalty
+// distributions that the combined fold convolves when the pWCET is
+// read at a 1e-15 exceedance on a 256-set cache.
+func benchTailDist(n int, seed int64) *Dist {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]Point, n)
+	step := math.Log(1e-320) / float64(n-1)
+	var sum float64
+	v := int64(0)
+	for i := range pts {
+		w := math.Exp(float64(i)*step) * (0.5 + rng.Float64())
+		pts[i] = Point{Value: v, Prob: w}
+		sum += w
+		v += 100 * int64(1+rng.Intn(3))
+	}
+	for i := range pts {
+		pts[i].Prob /= sum
+	}
+	d, err := New(pts)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// BenchmarkConvolveDeepTail measures the dense kernel on the combined
+// fold's shape: about 5% of the pairs have products that may be
+// subnormal, 45% round to +0 and are skipped, and the rest are normal.
+func BenchmarkConvolveDeepTail(b *testing.B) {
+	x := benchTailDist(4096, 16)
+	y := benchTailDist(4096, 17)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = x.Convolve(y)
+	}
+}
+
+// BenchmarkMultiplyAdd measures the cost model behind the dense
+// kernel's product classes on 1024-element loops row[j] += p·q[j]:
+// products that are normal, nonzero subnormal or round to +0, adds
+// with subnormal operands and results, and the subnormal products
+// again from addTinyProducts. README ("Subnormal products in
+// software") lists the results.
+func BenchmarkMultiplyAdd(b *testing.B) {
+	const n = 1024
+	off := make([]int, n)
+	for j := range off {
+		off[j] = j
+	}
+	fill := func(x float64) []float64 {
+		q := make([]float64, n)
+		for j := range q {
+			q[j] = x * (1 + float64(j)/n)
+		}
+		return q
+	}
+	hardware := func(row []float64, p float64, q []float64) {
+		for j, oj := range off {
+			row[oj] += float64(p * q[j])
+		}
+	}
+	subnormalRow := fill(3e-310)
+	cases := []struct {
+		name string
+		p    float64
+		q    []float64
+		loop func(row []float64, p float64, q []float64)
+	}{
+		{"normal", 0.5, fill(1e-10), hardware},
+		{"subnormal-result", 1e-160, fill(1e-150), hardware},
+		{"zero-result", 1e-200, fill(1e-200), hardware},
+		{"subnormal-operand-zero-result", 1e-100, fill(5e-310), hardware},
+		{"subnormal-add", 0, fill(1e-312), func(row []float64, _ float64, q []float64) {
+			copy(row, subnormalRow) // keep every sum subnormal
+			for j, oj := range off {
+				row[oj] += q[j]
+			}
+		}},
+		{"software-subnormal-result", 1e-160, fill(1e-150), func(row []float64, p float64, q []float64) {
+			addTinyProducts(row, off, q, p)
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			row := make([]float64, n)
+			for b.Loop() {
+				c.loop(row, c.p, c.q)
+			}
+		})
 	}
 }
 

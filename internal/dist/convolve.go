@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // maxDenseSpan caps the dense accumulator at 4M float64 cells (32 MB)
@@ -26,12 +27,19 @@ const maxDenseSpan = 1 << 22
 //     whole reduction trees do); then the grid has span/g cells,
 //     bitwise the same atoms in the same order at a fraction of the
 //     buffer, and a raw span too wide for the buffer may still fit;
-//   - the dense kernel skips, per outer atom, the inner atoms whose
-//     products are provably below half the smallest subnormal (from
-//     the binary exponents alone) and so round to +0 — deep-tail dust
-//     times deep-tail dust, which would otherwise each take the CPU's
-//     slow subnormal path. Adding +0 changes no cell, so the result is
-//     bit for bit the full product sum;
+//   - the dense kernel sorts each pair of atoms by the binary exponents
+//     of their probabilities alone. Pairs whose products are provably
+//     below half the smallest subnormal (deep-tail dust times deep-tail
+//     dust) round to +0 and are skipped; adding +0 changes no cell.
+//     Pairs whose products may be subnormal get them from exact integer
+//     arithmetic (addTinyProducts): on the x86 CPU measured (README,
+//     "Subnormal products in software") a multiply with a nonzero
+//     subnormal result costs about 65 ns against a few ns for a normal
+//     one, while a product that rounds to +0 and an add with subnormal
+//     operands run at full speed. The integer product is the IEEE
+//     product on every CPU, so the result is bit for bit the full
+//     product sum either way; the software path pays off only where
+//     the CPU's subnormal multiply is slow;
 //   - otherwise — wide-span operands, the shape of the high levels of
 //     ConvolveAllWith's merge tree — the n sorted per-atom sum streams
 //     are merged through a deterministic k-way heap, O(n·m·log k) with
@@ -154,10 +162,16 @@ func denseLimit(pairs int) int {
 // product; so each cell sums its products in ascending outer index,
 // whatever g is and in whatever order a row visits the inner atoms.
 //
-// A row skips the inner atoms whose products must round to +0 (see
-// innerBands); adding +0 to a non-negative cell is the identity, so
-// every cell still sums exactly the same nonzero products in the same
-// order, bit for bit.
+// A row splits the inner atoms in three by the sum of the two biased
+// exponents (see innerBands): products that are provably normal use
+// the multiply instruction, products that may be subnormal use
+// addTinyProducts, which adds the same float64 in integer arithmetic,
+// and products that must round to +0 are skipped, since adding +0 to a
+// non-negative cell is the identity. So every cell still sums exactly
+// the same nonzero products in the same order, bit for bit. The
+// explicit float64 conversion keeps the hardware products rounded on
+// targets that would otherwise fuse the multiply-add, so both classes
+// add a rounded product everywhere.
 func (d *Dist) convolveDenseStride(o *Dist, base int64, cells int, g uint64) *Dist {
 	buf := make([]float64, cells)
 	in := bandInner(d, o, g)
@@ -165,12 +179,14 @@ func (d *Dist) convolveDenseStride(o *Dist, base int64, cells int, g uint64) *Di
 		pi := d.probs[i]
 		row := buf[(uint64(vi)-uint64(d.values[0]))/g:]
 		off := in.off
-		if e := biasedExp(pi); e < in.keepAll {
-			off = off[:in.kept(e)]
+		if ep := biasedExp(pi); ep < in.hwAll {
+			hw, kept := in.split(ep)
+			addTinyProducts(row, off[hw:kept], in.probs[hw:kept], pi)
+			off = off[:hw]
 		}
 		q := in.probs[:len(off)]
 		for j, oj := range off {
-			row[oj] += pi * q[j]
+			row[oj] += float64(pi * q[j])
 		}
 	}
 	cnt := 0
@@ -193,38 +209,97 @@ func (d *Dist) convolveDenseStride(o *Dist, base int64, cells int, g uint64) *Di
 	return fromSorted(values, probs)
 }
 
-// minKeptExpSum is the smallest sum of biased exponents whose product
-// can be nonzero. A positive float64 with biased exponent E (0 for
-// subnormals) is below 2^(E−1022), so a product of two with biased
-// exponents summing to at most 969 is below 2^−1075 — at most half the
-// smallest subnormal — and rounds to +0 (2^−1075 itself is a tie that
-// rounds to the even +0).
-const minKeptExpSum = 970
+// The dense kernel classifies each pair of probabilities by the sum S
+// of their biased binary exponents. A positive float64 with biased
+// exponent E (0 for subnormals) lies in [2^(E−1023), 2^(E−1022)) when
+// normal and below 2^−1022 when subnormal, and every probability is
+// below 2, so E <= 1023:
+//
+//   - S <= 969: the product is below 2^−1075, at most half the smallest
+//     subnormal, and rounds to +0 (2^−1075 itself is a tie that rounds
+//     to the even +0);
+//   - 970 <= S <= 1023: the product is below 2^−1021, where doubles are
+//     spaced 2^−1074 apart, so it may be subnormal;
+//   - S >= 1024: both factors are normal and the product is at least
+//     2^−1022, a normal number.
+const (
+	minKeptExpSum     = 970
+	minHardwareExpSum = 1024
+)
 
 // biasedExp returns the biased binary exponent of a non-negative
 // float64: 0 for zero and subnormals, 1..2046 for normal numbers.
 func biasedExp(x float64) int { return int(math.Float64bits(x) >> 52) }
 
-// innerBands is the inner operand of a dense convolution laid out for
-// the underflow skip: its atoms' cell offsets and probabilities in
-// bands of descending binary exponent, value order within each band.
-// A row with probability exponent ep needs only the bands with
-// ep + eq >= minKeptExpSum — a prefix — and the rows with
-// ep >= keepAll need all of them (one comparison). When no pair of
-// the two operands can underflow, the atoms stay in value order with
-// keepAll = 0, so every row keeps every atom.
-type innerBands struct {
-	off     []int
-	probs   []float64
-	keepAll int
-	maxExp  int   // largest biased exponent among the inner atoms
-	ends    []int // ends[k]: the number of atoms with exponent >= maxExp-k
+// addTinyProducts adds p·q[j] into row[off[j]] for every j, where
+// the biased exponents of p and each q[j] sum to 970..1023. Each
+// product is bit for bit the IEEE product, computed in integers
+// because the multiply instruction is slow on subnormal results (see
+// Convolve). With x = m·2^(e−1075), m the 53-bit integer significand
+// and e = max(E, 1), the product is (mp·mq / 2^s)·2^−1074 with
+// s = 1076 − ep − eq in [52, 106]. It is below 2^−1021, where the
+// doubles are exactly the multiples of 2^−1074, so rounding
+// mp·mq / 2^s half to even gives the bit pattern of the result: a
+// subnormal, or, from 2^52 on, the normal number with exponent field 1
+// (and 2^53 encodes 2^−1021 itself).
+func addTinyProducts(row []float64, off []int, q []float64, p float64) {
+	mp, ep := significand(p)
+	q = q[:len(off)]
+	for j, oj := range off {
+		mq, eq := significand(q[j])
+		hi, lo := bits.Mul64(mp, mq) // mp·mq < 2^106
+		// y is mp·mq >> 50 with the OR of the 50 dropped bits (the
+		// sticky bit) in its bit 0, and t = s − 50 is in [2, 56], so
+		// the rounding bit sits at t−1 >= 1 and the sticky bit only
+		// decides ties. Masking the shift counts with 63 changes no
+		// value and spares the compiler's checks for counts >= 64.
+		const low = 1<<50 - 1
+		y := hi<<14 | lo>>50 | (lo&low+low)>>50
+		t := uint(1026-ep-eq) & 63
+		// Round half to even: add just under a half plus the kept lsb.
+		row[oj] += math.Float64frombits((y + 1<<((t-1)&63) - 1 + y>>t&1) >> t)
+	}
 }
 
-// kept returns how many leading atoms a row with biased exponent
-// ep < keepAll needs: those with exponent >= minKeptExpSum − ep.
-func (b *innerBands) kept(ep int) int {
-	k := b.maxExp - (minKeptExpSum - ep)
+// significand splits a positive finite float64 into its 53-bit integer
+// significand m and effective biased exponent e = max(E, 1), so that
+// x = m·2^(e−1075).
+func significand(x float64) (m uint64, e int) {
+	b := math.Float64bits(x)
+	m, e = b&(1<<52-1), int(b>>52)
+	if e == 0 {
+		return m, 1
+	}
+	return m | 1<<52, e
+}
+
+// innerBands is the inner operand of a dense convolution laid out for
+// the product classes: its atoms' cell offsets and probabilities in
+// bands of descending binary exponent, value order within each band.
+// Each class is then a contiguous run of the layout, found by two
+// prefix lookups (split), and the rows with ep >= hwAll multiply every
+// atom in hardware (one comparison). When no pair of the two operands
+// can have a subnormal product, the atoms stay in value order with
+// hwAll = 0, so every row multiplies every atom in hardware.
+type innerBands struct {
+	off    []int
+	probs  []float64
+	hwAll  int
+	maxExp int   // largest biased exponent among the inner atoms
+	ends   []int // ends[k]: the number of atoms with exponent >= maxExp-k
+}
+
+// split returns, for a row with biased exponent ep < hwAll, the number
+// of leading atoms whose products are normal (S >= 1024) and the
+// number whose products can be nonzero (S >= 970). The atoms in
+// between go to addTinyProducts; the rest round to +0.
+func (b *innerBands) split(ep int) (hw, kept int) {
+	return b.prefix(minHardwareExpSum - ep), b.prefix(minKeptExpSum - ep)
+}
+
+// prefix returns the number of leading atoms with biased exponent >= e.
+func (b *innerBands) prefix(e int) int {
+	k := min(b.maxExp-e, len(b.ends)-1)
 	if k < 0 {
 		return 0
 	}
@@ -234,7 +309,7 @@ func (b *innerBands) kept(ep int) int {
 // bandInner lays o out for a dense convolution with outer operand d on
 // the stride-g grid. The bands are a stable counting sort of o's atoms
 // by exponent, O(len(o) + exponent range), and are only built when
-// some pair of d and o can underflow.
+// some pair of d and o can have a subnormal product.
 func bandInner(d, o *Dist, g uint64) innerBands {
 	minP, minQ, maxQ := 2047, 2047, 0
 	for _, p := range d.probs {
@@ -245,7 +320,7 @@ func bandInner(d, o *Dist, g uint64) innerBands {
 		minQ = min(minQ, e)
 		maxQ = max(maxQ, e)
 	}
-	if minP+minQ >= minKeptExpSum {
+	if minP+minQ >= minHardwareExpSum {
 		return innerBands{off: denseOffsets(o, g), probs: o.probs}
 	}
 	// ends first counts each band, then holds its start, and after the
@@ -267,7 +342,7 @@ func bandInner(d, o *Dist, g uint64) innerBands {
 		probs[ends[k]] = q
 		ends[k]++
 	}
-	return innerBands{off: off, probs: probs, keepAll: minKeptExpSum - minQ, maxExp: maxQ, ends: ends}
+	return innerBands{off: off, probs: probs, hwAll: minHardwareExpSum - minQ, maxExp: maxQ, ends: ends}
 }
 
 // denseOffsets precomputes each atom's cell offset (v - Min) / g.

@@ -3,18 +3,22 @@ package dist
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 )
 
 // naiveConvolve is the obviously-correct reference the fast paths are
 // pinned against: every pair product into a map, sorted, zero products
-// dropped (the documented underflow semantics).
+// dropped (the documented underflow semantics). Each product is the
+// hardware multiply, rounded before it is added (the float64
+// conversion stops targets with fused multiply-add from skipping that
+// rounding), as in the dense kernel.
 func naiveConvolve(a, b *Dist) *Dist {
 	sums := make(map[int64]float64)
 	for i, av := range a.values {
 		for j, bv := range b.values {
-			sums[av+bv] += a.probs[i] * b.probs[j]
+			sums[av+bv] += float64(a.probs[i] * b.probs[j])
 		}
 	}
 	values := make([]int64, 0, len(sums))
@@ -143,10 +147,11 @@ func TestConvolvePathAgreement(t *testing.T) {
 	}
 }
 
-// convolveDenseScatter is the dense kernel before the underflow skip:
-// every pair product scattered into the stride-g accumulator, rows in
-// ascending outer order and each row's inner atoms in value order. It
-// stays as the oracle the banded kernel is pinned to.
+// convolveDenseScatter is the dense kernel before the product classes:
+// every pair product taken from the hardware multiply and scattered
+// into the stride-g accumulator, rows in ascending outer order and
+// each row's inner atoms in value order. It stays as the oracle the
+// banded kernel is pinned to.
 func (d *Dist) convolveDenseScatter(o *Dist, base int64, cells int, g uint64) *Dist {
 	buf := make([]float64, cells)
 	ooff := denseOffsets(o, g)
@@ -154,7 +159,7 @@ func (d *Dist) convolveDenseScatter(o *Dist, base int64, cells int, g uint64) *D
 		pi := d.probs[i]
 		row := buf[(uint64(vi)-uint64(d.values[0]))/g:]
 		for j, oj := range ooff {
-			row[oj] += pi * o.probs[j]
+			row[oj] += float64(pi * o.probs[j])
 		}
 	}
 	var values []int64
@@ -171,9 +176,18 @@ func (d *Dist) convolveDenseScatter(o *Dist, base int64, cells int, g uint64) *D
 // TestConvolveDenseStrideBitIdentical pins the dense kernel bit for
 // bit — same values, same float64 bit patterns — to naiveConvolve,
 // which sums each cell in the same ascending outer order, and to the
-// scatter-loop oracle, at g = 1 and on the compressed grid g > 1. So
-// the stride threshold is purely a locality choice, and the underflow
-// skip drops only products that are exactly +0.
+// scatter-loop oracle, at g = 1 and on the compressed grid g > 1. Both
+// oracles take every product from the hardware multiply. So the stride
+// threshold is purely a locality choice, the underflow skip drops only
+// products that are exactly +0, and the software products are the
+// hardware ones.
+//
+// The class corpus draws each probability's biased exponent from two
+// lists chosen so that pairs land on both sides of both class
+// boundaries (exponent sums 969/970 and 1023/1024), a subnormal outer
+// atom meets normal inner bands and the reverse, rows need all three
+// classes, and cells on the shared grid sum hardware and software
+// products together.
 //
 // The underflow corpus has tails reaching 1e-200 down to 5e-324 and
 // three hand-placed cells, each reached by exactly one pair:
@@ -234,6 +248,67 @@ func TestConvolveDenseStrideBitIdentical(t *testing.T) {
 		return a, b, []int64{11_000 * s, 22_000 * s, 44_000 * s}
 	}
 
+	// classDist: n atoms at i·stride whose probabilities take their
+	// biased exponents from exps in turn, with pseudo-random fractions
+	// (exponent 0 gives a subnormal). Every exponent is at most 1016,
+	// so the mass stays below 1.
+	classDist := func(n int, stride int64, exps []uint64, seed int64) *Dist {
+		rng := rand.New(rand.NewSource(seed))
+		vs := make([]int64, n)
+		ps := make([]float64, n)
+		for i := range vs {
+			vs[i] = int64(i) * stride
+			ps[i] = math.Float64frombits(exps[i%len(exps)]<<52 | rng.Uint64()>>12 | 1)
+		}
+		return fromSorted(vs, ps)
+	}
+	outerExps := []uint64{1016, 512, 0, 1010, 485, 9, 700, 484, 511, 486, 8, 0}
+	innerExps := []uint64{1015, 511, 486, 8, 1016, 485, 0, 300, 484, 512, 14, 1}
+	// The corpus checks, like the class test, use the literal
+	// boundaries 970 and 1024.
+	{
+		a, b := classDist(48, 1, outerExps, 1), classDist(48, 1, innerExps, 2)
+		sums := map[int]bool{}
+		var subOuter, subInner bool
+		rowClasses := map[int]int{} // outer index -> bitmask of classes
+		cellClasses := map[int64]int{}
+		for i, p := range a.probs {
+			for j, q := range b.probs {
+				ep, eq := biasedExp(p), biasedExp(q)
+				sums[ep+eq] = true
+				c := 0 // skip
+				switch {
+				case ep+eq >= 1024:
+					c = 1
+				case ep+eq >= 970:
+					c = 2
+					subOuter = subOuter || ep == 0 && float64(p*q) != 0
+					subInner = subInner || eq == 0 && float64(p*q) != 0
+				}
+				rowClasses[i] |= 1 << c
+				if c > 0 {
+					cellClasses[a.values[i]+b.values[j]] |= 1 << c
+				}
+			}
+		}
+		threeClassRows, mixedCells := 0, 0
+		for _, m := range rowClasses {
+			if m == 7 {
+				threeClassRows++
+			}
+		}
+		for _, m := range cellClasses {
+			if m == 6 {
+				mixedCells++
+			}
+		}
+		if !sums[969] || !sums[970] || !sums[1023] || !sums[1024] || !subOuter || !subInner ||
+			threeClassRows == 0 || mixedCells == 0 {
+			t.Fatalf("corpus bug: class corpus misses a case: sums %v, subnormal outer %v inner %v, %d three-class rows, %d mixed cells",
+				[]bool{sums[969], sums[970], sums[1023], sums[1024]}, subOuter, subInner, threeClassRows, mixedCells)
+		}
+	}
+
 	type pair struct {
 		name   string
 		stride int64
@@ -243,6 +318,12 @@ func TestConvolveDenseStrideBitIdentical(t *testing.T) {
 	var pairs []pair
 	for _, stride := range []int64{2, 100, 4096} {
 		pairs = append(pairs, pair{name: fmt.Sprintf("grid-%d", stride), stride: stride, a: mkGrid(30, stride), b: mkGrid(25, stride)})
+	}
+	for _, stride := range []int64{1, 7} {
+		a, b := classDist(48, stride, outerExps, 1), classDist(48, stride, innerExps, 2)
+		pairs = append(pairs,
+			pair{name: fmt.Sprintf("classes-%d", stride), stride: stride, a: a, b: b},
+			pair{name: fmt.Sprintf("classes-swapped-%d", stride), stride: stride, a: b, b: a})
 	}
 	for _, stride := range []int64{1, 3, 100} {
 		pairs = append(pairs,
@@ -273,6 +354,184 @@ func TestConvolveDenseStrideBitIdentical(t *testing.T) {
 				k := sort.Search(got.Len(), func(i int) bool { return got.values[i] >= v })
 				if has := k < got.Len() && got.values[k] == v; has != present {
 					t.Fatalf("%s: cell %d present = %v, want %v", label, v, has, present)
+				}
+			}
+		}
+	}
+}
+
+// tinyProduct is addTinyProducts on a single cell that starts at +0,
+// so the cell ends up holding the product itself.
+func tinyProduct(p, q float64) float64 {
+	row := []float64{0}
+	addTinyProducts(row, []int{0}, []float64{q}, p)
+	return row[0]
+}
+
+// fromParts builds the positive float64 m·2^(e−1075) from a 53-bit
+// integer significand and an effective biased exponent e >= 1 (the
+// inverse of significand; m < 2^52 with e = 1 is a subnormal).
+func fromParts(m uint64, e int) float64 {
+	if m < 1<<52 {
+		return math.Float64frombits(m)
+	}
+	return math.Float64frombits(uint64(e)<<52 | m&(1<<52-1))
+}
+
+// tinyProductCases are the software products the table test and the
+// fuzz seeds pin: each pair has biased exponents summing to 970..1023,
+// and want, when nonzero, is the exact expected result.
+var tinyProductCases = []struct {
+	name string
+	p, q float64
+	want float64
+}{
+	// q a power of two and p's dropped bits exactly 10…0: ties that
+	// round down (even) and up (to even).
+	{"tie-down-1bit", fromParts(1<<52|1, 600), math.Ldexp(1, -600), 0},
+	{"tie-up-1bit", fromParts(1<<52|3, 600), math.Ldexp(1, -600), 0},
+	{"tie-down-8bits", fromParts(1<<52|0x80, 600), math.Ldexp(1, -607), 0},
+	{"tie-up-8bits", fromParts(1<<52|0x180, 600), math.Ldexp(1, -607), 0},
+	// (2^52+4)(2^52+1) = 2^104 + 5·2^52 + 4 with s = 53: the rounding
+	// bit is set, the next two bits are clear and only bit 2 breaks the
+	// tie, so the result rounds up from the even 2^51+2 to 2^51+3.
+	{"tie-broken-by-sticky", fromParts(1<<52|4, 512), fromParts(1<<52|1, 511), fromParts(1<<51+3, 1)},
+	{"smallest-subnormal", math.Ldexp(1, -537), math.Ldexp(1, -537), math.SmallestNonzeroFloat64},
+	{"round-up-to-smallest", fromParts(1<<52|1, 486), math.Ldexp(1, -538), math.SmallestNonzeroFloat64},
+	// (1 − 2^−53)·2^−1022 is 2^−1022 − 2^−1075: a tie, rounded up to
+	// the even 2^−1022. (1 − 2^−52)·(2^−1022 + 2^−1074) is just below
+	// 2^−1022 and not a tie.
+	{"min-normal-by-tie", 1 - math.Ldexp(1, -53), math.Ldexp(1, -1022), math.Ldexp(1, -1022)},
+	{"min-normal-round-up", 1 - math.Ldexp(1, -52), math.Nextafter(math.Ldexp(1, -1022), 1), math.Ldexp(1, -1022)},
+	{"normal-below-2^-1021", 0.9, 1.75 * math.Ldexp(1, -1022), 0},
+	{"largest-below-2^-1021", math.Nextafter(1, 0), math.Nextafter(math.Ldexp(1, -1021), 0), 0},
+	{"subnormal-times-normal", 12345 * math.SmallestNonzeroFloat64, 0.7, 0},
+	{"subnormal-times-one", 3e-310, 1, 3e-310},
+	{"normal-times-subnormal", 1e-10, 4.9e-309, 0},
+	{"S=970-nonzero", 1.9 * math.Ldexp(1, -538), 1.9 * math.Ldexp(1, -538), math.SmallestNonzeroFloat64},
+	{"S=970-zero", 1.1 * math.Ldexp(1, -538), 1.1 * math.Ldexp(1, -538), 0},
+	{"S=970-subnormal", 7 * math.SmallestNonzeroFloat64, 1.5 * math.Ldexp(1, -53), 0},
+	{"S=1023", 0.6, 1.3 * math.Ldexp(1, -1022), 0},
+}
+
+// TestTinyProduct pins the software product bitwise to the hardware
+// multiply on ties resolved both ways, a tie broken only by the sticky
+// bit, results of exactly 2^−1074 and 2^−1022 and in [2^−1022,
+// 2^−1021), subnormal operands, and both ends of the class.
+func TestTinyProduct(t *testing.T) {
+	for _, tc := range tinyProductCases {
+		ep, eq := biasedExp(tc.p), biasedExp(tc.q)
+		if s := ep + eq; s < 970 || s > 1023 || tc.p > 1 || tc.q > 1 {
+			t.Fatalf("%s: corpus bug: exponent sum %d outside 970..1023 or a factor above 1", tc.name, s)
+		}
+		hw := float64(tc.p * tc.q)
+		if tc.want != 0 && hw != tc.want {
+			t.Fatalf("%s: corpus bug: hardware product %g, want %g", tc.name, hw, tc.want)
+		}
+		if got := tinyProduct(tc.p, tc.q); math.Float64bits(got) != math.Float64bits(hw) {
+			t.Errorf("%s: software product %#x, hardware %#x", tc.name, math.Float64bits(got), math.Float64bits(hw))
+		}
+	}
+}
+
+// tinyClassPair maps two arbitrary float64s onto positive doubles at
+// most 1 whose biased exponents sum to 970..1023, keeping their
+// fractions; a pair already there maps onto itself.
+func tinyClassPair(p, q float64) (float64, float64) {
+	a, b := math.Float64bits(math.Abs(p)), math.Float64bits(math.Abs(q))
+	ep, eq := a>>52, b>>52
+	if s := ep + eq; ep > 1023 || eq > 1023 || s < 970 || s > 1023 {
+		s = 970 + s%54
+		ep %= s + 1
+		eq = s - ep
+	}
+	mk := func(frac, e uint64) float64 {
+		if e == 1023 {
+			frac = 0 // 1.0: keep the factor at most 1
+		}
+		return math.Float64frombits(e<<52 | frac)
+	}
+	return mk(a&(1<<52-1), ep), mk(b&(1<<52-1), eq)
+}
+
+// FuzzTinyProduct compares the software product with the hardware one,
+// bit for bit, on pairs drawn from the whole software class.
+func FuzzTinyProduct(f *testing.F) {
+	for _, tc := range tinyProductCases {
+		f.Add(tc.p, tc.q)
+	}
+	f.Fuzz(func(t *testing.T, p, q float64) {
+		p, q = tinyClassPair(p, q)
+		if p == 0 || q == 0 {
+			return
+		}
+		hw := float64(p * q)
+		if got := tinyProduct(p, q); math.Float64bits(got) != math.Float64bits(hw) {
+			t.Fatalf("%x × %x: software product %#x, hardware %#x",
+				math.Float64bits(p), math.Float64bits(q), math.Float64bits(got), math.Float64bits(hw))
+		}
+	})
+}
+
+// TestProductClassSplit checks, for every pair of biased exponents in
+// [0, 1023]², the class the dense kernel gives it — the hwAll shortcut
+// and split's two prefixes, as convolveDenseStride applies them —
+// against the class boundaries written out: products of two normal
+// factors with exponents summing to at least 1024 are normal and use
+// the hardware multiply, pairs summing to 970..1023 use the software
+// product, and lower sums round to +0 and are skipped. The inner
+// operands hold one atom per exponent from low to 1023, and the outer
+// operands' smallest exponent minP decides whether bands are built at
+// all: they must be whenever minP + low < 1024.
+func TestProductClassSplit(t *testing.T) {
+	const (
+		skip = iota
+		software
+		hardware
+	)
+	want := func(ep, eq int) int {
+		switch s := ep + eq; {
+		case s <= 969:
+			return skip
+		case s >= 1024 && ep >= 1 && eq >= 1:
+			return hardware
+		default:
+			return software
+		}
+	}
+	// withExp returns a float64 with biased exponent e and a nonzero
+	// pseudo-random fraction (1.0 for e = 1023, so it stays at most 1).
+	withExp := func(e int) float64 {
+		frac := uint64(e)*0x9E3779B97F4A7C15>>12 | 1
+		if e == 1023 {
+			frac = 0
+		}
+		return math.Float64frombits(uint64(e)<<52 | frac)
+	}
+	for _, c := range []struct{ low, minP int }{{0, 0}, {1, 0}, {600, 0}, {0, 1000}, {600, 400}, {600, 424}} {
+		var vs []int64
+		var ps []float64
+		for e := c.low; e <= 1023; e++ {
+			vs = append(vs, int64(e))
+			ps = append(ps, withExp(e))
+		}
+		outer := fromSorted([]int64{0, 1}, []float64{0.5, withExp(c.minP)})
+		in := bandInner(outer, &Dist{values: vs, probs: ps}, 1)
+		for ep := c.minP; ep <= 1023; ep++ {
+			hw, kept := len(in.off), len(in.off)
+			if ep < in.hwAll {
+				hw, kept = in.split(ep)
+			}
+			for j, q := range in.probs {
+				got := skip
+				if j < hw {
+					got = hardware
+				} else if j < kept {
+					got = software
+				}
+				if eq := biasedExp(q); got != want(ep, eq) {
+					t.Fatalf("inner exponents from %d, outer from %d: pair (%d, %d) in class %d, want %d",
+						c.low, c.minP, ep, eq, got, want(ep, eq))
 				}
 			}
 		}
