@@ -37,8 +37,8 @@ type RefPurityRule struct {
 var DefaultRefPurityRules = []RefPurityRule{
 	{
 		PkgPath:   "repro/internal/dist",
-		Root:      regexp.MustCompile(`^ConvolveAllExact(With|CancelWith)?$`),
-		Forbidden: regexp.MustCompile(`^(ConvolveAll|ConvolveAllWith|ConvolveAllCancelWith|convolveAllOpt|convolveAllOptCancel)$`),
+		Root:      regexp.MustCompile(`^ConvolveAllExact$`),
+		Forbidden: regexp.MustCompile(`^(ConvolveAllWith|ConvolveAllCancelWith|convolveAllOpt)$`),
 	},
 	{
 		PkgPath:   "repro/internal/lp",

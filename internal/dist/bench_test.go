@@ -145,11 +145,17 @@ func BenchmarkConvolveDeepTail(b *testing.B) {
 }
 
 // BenchmarkMultiplyAdd measures the cost model behind the dense
-// kernel's product classes on 1024-element loops row[j] += p·q[j]:
-// products that are normal, nonzero subnormal or round to +0, adds
-// with subnormal operands and results, and the subnormal products
-// again from addTinyProducts. README ("Subnormal products in
-// software") lists the results.
+// kernel's product classes and its segment on 1024-element loops
+// row[j] += p·q[j]: products that are normal, nonzero subnormal or
+// round to +0, adds with subnormal operands and results, the
+// subnormal products again from addTinyProducts, and the normal
+// products again as one 1024-cell segment (axpy) and as 1024 one-cell
+// segments, each with the AVX2 assembly and with the Go loop. The
+// "normal" loop is the scatter the segment replaces, so the segment
+// rows give the planner's cost per cell c and the one-cell rows its
+// cost per call k (segmentCosts). README ("Subnormal products in
+// software" and "The segment: normal products in AVX2") lists the
+// results.
 func BenchmarkMultiplyAdd(b *testing.B) {
 	const n = 1024
 	off := make([]int, n)
@@ -168,29 +174,46 @@ func BenchmarkMultiplyAdd(b *testing.B) {
 			row[oj] += float64(p * q[j])
 		}
 	}
+	segment := func(row []float64, p float64, q []float64) {
+		axpy(row, q, p)
+	}
+	oneCellSegments := func(row []float64, p float64, q []float64) {
+		for j := range q {
+			axpy(row[j:], q[j:j+1], p)
+		}
+	}
 	subnormalRow := fill(3e-310)
 	cases := []struct {
 		name string
+		avx2 bool // the axpy cases: with AVX2 (or with the Go loop)
 		p    float64
 		q    []float64
 		loop func(row []float64, p float64, q []float64)
 	}{
-		{"normal", 0.5, fill(1e-10), hardware},
-		{"subnormal-result", 1e-160, fill(1e-150), hardware},
-		{"zero-result", 1e-200, fill(1e-200), hardware},
-		{"subnormal-operand-zero-result", 1e-100, fill(5e-310), hardware},
-		{"subnormal-add", 0, fill(1e-312), func(row []float64, _ float64, q []float64) {
+		{"normal", false, 0.5, fill(1e-10), hardware},
+		{"subnormal-result", false, 1e-160, fill(1e-150), hardware},
+		{"zero-result", false, 1e-200, fill(1e-200), hardware},
+		{"subnormal-operand-zero-result", false, 1e-100, fill(5e-310), hardware},
+		{"subnormal-add", false, 0, fill(1e-312), func(row []float64, _ float64, q []float64) {
 			copy(row, subnormalRow) // keep every sum subnormal
 			for j, oj := range off {
 				row[oj] += q[j]
 			}
 		}},
-		{"software-subnormal-result", 1e-160, fill(1e-150), func(row []float64, p float64, q []float64) {
+		{"software-subnormal-result", false, 1e-160, fill(1e-150), func(row []float64, p float64, q []float64) {
 			addTinyProducts(row, off, q, p)
 		}},
+		{"segment-avx2", true, 0.5, fill(1e-10), segment},
+		{"segment-go", false, 0.5, fill(1e-10), segment},
+		{"one-cell-segments-avx2", true, 0.5, fill(1e-10), oneCellSegments},
+		{"one-cell-segments-go", false, 0.5, fill(1e-10), oneCellSegments},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			if c.avx2 && !hasAVX2() {
+				b.Skip("the CPU has no AVX2")
+			}
+			setAVX2(b, c.avx2)
 			row := make([]float64, n)
 			for b.Loop() {
 				c.loop(row, c.p, c.q)

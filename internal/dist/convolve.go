@@ -40,6 +40,15 @@ const maxDenseSpan = 1 << 22
 //     product on every CPU, so the result is bit for bit the full
 //     product sum either way; the software path pays off only where
 //     the CPU's subnormal multiply is slow;
+//   - calls of at least segmentMinPairs pairs also plan a segment
+//     (planSegment): the inner atoms whose exponent is at least a floor
+//     E, copied into a zero-filled, value-indexed array. Every row whose
+//     products with them are all normal adds the segment into its cells
+//     with one contiguous multiply-then-add loop (axpy: AVX2 assembly on
+//     amd64 CPUs that have it, a Go loop elsewhere) instead of
+//     scattering them one by one; the empty cells add +0. The floor
+//     maximises the scatter work saved net of the segment's cells, and
+//     no segment is built when none pays;
 //   - otherwise — wide-span operands, the shape of the high levels of
 //     ConvolveAllWith's merge tree — the n sorted per-atom sum streams
 //     are merged through a deterministic k-way heap, O(n·m·log k) with
@@ -167,24 +176,34 @@ func denseLimit(pairs int) int {
 // the multiply instruction, products that may be subnormal use
 // addTinyProducts, which adds the same float64 in integer arithmetic,
 // and products that must round to +0 are skipped, since adding +0 to a
-// non-negative cell is the identity. So every cell still sums exactly
-// the same nonzero products in the same order, bit for bit. The
-// explicit float64 conversion keeps the hardware products rounded on
-// targets that would otherwise fuse the multiply-add, so both classes
-// add a rounded product everywhere.
+// non-negative cell is the identity. A row whose products with the
+// whole segment are normal first adds pi times the segment (see
+// innerBands) into its cells with one axpy call and then scatters only
+// the atoms after the segment's prefix. So every cell still sums
+// exactly the same nonzero products in the same order, bit for bit.
+// The explicit float64 conversion keeps the hardware products rounded
+// on targets that would otherwise fuse the multiply-add, and axpy
+// rounds each product too, so every path adds a rounded product
+// everywhere.
 func (d *Dist) convolveDenseStride(o *Dist, base int64, cells int, g uint64) *Dist {
 	buf := make([]float64, cells)
 	in := bandInner(d, o, g)
 	for i, vi := range d.values {
 		pi := d.probs[i]
 		row := buf[(uint64(vi)-uint64(d.values[0]))/g:]
-		off := in.off
-		if ep := biasedExp(pi); ep < in.hwAll {
+		lo, hi := 0, len(in.off)
+		ep := biasedExp(pi)
+		if ep < in.hwAll {
 			hw, kept := in.split(ep)
-			addTinyProducts(row, off[hw:kept], in.probs[hw:kept], pi)
-			off = off[:hw]
+			addTinyProducts(row, in.off[hw:kept], in.probs[hw:kept], pi)
+			hi = hw
 		}
-		q := in.probs[:len(off)]
+		if in.segmentRow(ep) {
+			axpy(row[in.segLo:], in.seg, pi)
+			lo = in.segAtoms
+		}
+		off := in.off[lo:hi]
+		q := in.probs[lo:][:len(off)]
 		for j, oj := range off {
 			row[oj] += float64(pi * q[j])
 		}
@@ -279,14 +298,30 @@ func significand(x float64) (m uint64, e int) {
 // Each class is then a contiguous run of the layout, found by two
 // prefix lookups (split), and the rows with ep >= hwAll multiply every
 // atom in hardware (one comparison). When no pair of the two operands
-// can have a subnormal product, the atoms stay in value order with
-// hwAll = 0, so every row multiplies every atom in hardware.
+// can have a subnormal product and the segment, if any, takes every
+// atom, the atoms stay in value order with hwAll = 0, so every row
+// multiplies every atom in hardware.
+//
+// The segment is the band prefix of the atoms with biased exponent
+// >= segExp, copied into a zero-filled, value-indexed array over their
+// cell range [segLo, segLo+len(seg)). A row whose products with all of
+// them are normal (segmentRow) adds pi·seg into its cells with one
+// axpy and scatters only the atoms after the prefix. Its empty cells
+// add pi·0 = +0, the identity on a non-negative cell, and each cell
+// still receives at most one product per row, so the row sums the
+// same products as the scatter, bit for bit. segExp = 0 means there is
+// no segment.
 type innerBands struct {
 	off    []int
 	probs  []float64
 	hwAll  int
 	maxExp int   // largest biased exponent among the inner atoms
 	ends   []int // ends[k]: the number of atoms with exponent >= maxExp-k
+
+	seg      []float64
+	segLo    int // the cell of seg[0]
+	segAtoms int // the number of atoms in the segment: a prefix of off
+	segExp   int // the segment's exponent floor E
 }
 
 // split returns, for a row with biased exponent ep < hwAll, the number
@@ -295,6 +330,14 @@ type innerBands struct {
 // between go to addTinyProducts; the rest round to +0.
 func (b *innerBands) split(ep int) (hw, kept int) {
 	return b.prefix(minHardwareExpSum - ep), b.prefix(minKeptExpSum - ep)
+}
+
+// segmentRow reports whether a row with biased exponent ep adds the
+// segment: whether its product with every segment atom is normal,
+// ep + segExp >= 1024. No row qualifies when segExp = 0, since every
+// probability has ep <= 1023.
+func (b *innerBands) segmentRow(ep int) bool {
+	return ep+b.segExp >= minHardwareExpSum
 }
 
 // prefix returns the number of leading atoms with biased exponent >= e.
@@ -309,7 +352,9 @@ func (b *innerBands) prefix(e int) int {
 // bandInner lays o out for a dense convolution with outer operand d on
 // the stride-g grid. The bands are a stable counting sort of o's atoms
 // by exponent, O(len(o) + exponent range), and are only built when
-// some pair of d and o can have a subnormal product.
+// some pair of d and o can have a subnormal product or the segment
+// leaves some atoms out. Calls with at least segmentMinPairs pairs plan
+// a segment (planSegment).
 func bandInner(d, o *Dist, g uint64) innerBands {
 	minP, minQ, maxQ := 2047, 2047, 0
 	for _, p := range d.probs {
@@ -320,29 +365,134 @@ func bandInner(d, o *Dist, g uint64) innerBands {
 		minQ = min(minQ, e)
 		maxQ = max(maxQ, e)
 	}
-	if minP+minQ >= minHardwareExpSum {
-		return innerBands{off: denseOffsets(o, g), probs: o.probs}
+	floor := 0
+	if len(d.values)*len(o.values) >= segmentMinPairs {
+		floor = planSegment(d, o, g)
 	}
-	// ends first counts each band, then holds its start, and after the
-	// scatter — in ascending j, so value order within a band — its end.
-	ends := make([]int, maxQ-minQ+1)
-	for _, q := range o.probs {
-		ends[maxQ-biasedExp(q)]++
+	var b innerBands
+	pre := len(o.values) // the atoms with exponent >= floor
+	if minP+minQ >= minHardwareExpSum && floor <= minQ {
+		b = innerBands{off: denseOffsets(o, g), probs: o.probs}
+	} else {
+		// ends first counts each band, then holds its start, and after
+		// the scatter — in ascending j, so value order within a band —
+		// its end.
+		ends := make([]int, maxQ-minQ+1)
+		for _, q := range o.probs {
+			ends[maxQ-biasedExp(q)]++
+		}
+		start := 0
+		for k, c := range ends {
+			ends[k] = start
+			start += c
+		}
+		off := make([]int, len(o.values))
+		probs := make([]float64, len(o.values))
+		for j, q := range o.probs {
+			k := maxQ - biasedExp(q)
+			off[ends[k]] = int((uint64(o.values[j]) - uint64(o.values[0])) / g)
+			probs[ends[k]] = q
+			ends[k]++
+		}
+		b = innerBands{off: off, probs: probs, hwAll: minHardwareExpSum - minQ, maxExp: maxQ, ends: ends}
+		pre = b.prefix(floor)
 	}
-	start := 0
-	for k, c := range ends {
-		ends[k] = start
-		start += c
+	if floor > 0 {
+		lo, hi := b.off[0], b.off[0]
+		for _, oj := range b.off[:pre] {
+			lo, hi = min(lo, oj), max(hi, oj)
+		}
+		b.seg = make([]float64, hi-lo+1)
+		for j, oj := range b.off[:pre] {
+			b.seg[oj-lo] = b.probs[j]
+		}
+		b.segLo, b.segAtoms, b.segExp = lo, pre, floor
 	}
-	off := make([]int, len(o.values))
-	probs := make([]float64, len(o.values))
+	return b
+}
+
+// segmentMinPairs gates the segment: a dense convolution of fewer atom
+// pairs plans none. Below it the planner's fixed cost, two
+// 1024-bucket exponent histograms, is a visible share of the call, and
+// the cold-engine geometry sweep, whose convolutions are nearly all
+// small, lost throughput without the gate.
+const segmentMinPairs = 1 << 14
+
+// segmentCosts returns the planner's costs, in hundredths of one
+// scattered atom: c for adding one segment cell and k for each row's
+// axpy call on top of its cells. They are the medians of five runs of
+// BenchmarkMultiplyAdd (README, "The segment: normal products in
+// AVX2"): the
+// scatter takes 1.49 µs per 1024 atoms, the segment 0.21 µs per 1024
+// cells with AVX2 and 0.75 µs with the Go loop, and 1024 one-cell
+// segments 10.2 µs and 7.4 µs. So c is 0.14 with AVX2 and 0.50 with
+// the Go loop (a prototype measured on operands of the combined fold's
+// shape used 0.16 and 0.45), and k is 6.7 and 4.4.
+func segmentCosts() (c, k int) {
+	if useAVX2 {
+		return 14, 670
+	}
+	return 50, 440
+}
+
+// planSegment chooses the exponent floor E of the segment for a dense
+// convolution with outer operand d and inner operand o on the stride-g
+// grid. The segment holds P(E), the inner atoms with biased exponent
+// >= E, over their cell range. Every row with ep >= 1024−E then saves
+// one scattered atom per atom of P(E) and pays c per cell of that
+// range plus k for the call, so E maximises
+//
+//	rows(ep >= 1024−E) · (|P(E)| − c·cells(E) − k).
+//
+// Only the exponents present in o are candidates: a higher E with the
+// same prefix only adds rows. E = 0 when no floor pays; no row
+// qualifies for it. The histograms live on the stack, and the rows are
+// only counted when some floor saves a row anything.
+func planSegment(d, o *Dist, g uint64) (floor int) {
+	// Probabilities are below 2, so their biased exponents are at most
+	// 1023. Clamping a larger one would only blur the estimate: which
+	// rows and atoms take the segment is decided by the exact exponents.
+	var count, first, last [1024]int32
 	for j, q := range o.probs {
-		k := maxQ - biasedExp(q)
-		off[ends[k]] = int((uint64(o.values[j]) - uint64(o.values[0])) / g)
-		probs[ends[k]] = q
-		ends[k]++
+		e := min(biasedExp(q), 1023)
+		if count[e] == 0 {
+			first[e] = int32(j)
+		}
+		last[e] = int32(j)
+		count[e]++
 	}
-	return innerBands{off: off, probs: probs, hwAll: minHardwareExpSum - minQ, maxExp: maxQ, ends: ends}
+	// save[e]: what one row saves with floor e, in the units of c and
+	// k. It fits in int32: the dense buffer caps atoms and cells at
+	// maxDenseSpan.
+	var save [1024]int32
+	c, k := segmentCosts()
+	atoms, jlo, jhi, pays := 0, len(o.values)-1, 0, false
+	for e := 1023; e >= 1; e-- {
+		if count[e] > 0 {
+			atoms += int(count[e])
+			jlo, jhi = min(jlo, int(first[e])), max(jhi, int(last[e]))
+			cells := int((uint64(o.values[jhi])-uint64(o.values[jlo]))/g) + 1
+			save[e] = int32(100*atoms - c*cells - k)
+			pays = pays || save[e] > 0
+		}
+	}
+	if !pays {
+		return 0
+	}
+	var rows [1024]int32 // rows[t]: the rows with exponent t, then >= t
+	for _, p := range d.probs {
+		rows[min(biasedExp(p), 1023)]++
+	}
+	for t := 1022; t >= 0; t-- {
+		rows[t] += rows[t+1]
+	}
+	best := int64(0)
+	for e := 1023; e >= 1; e-- {
+		if gain := int64(rows[minHardwareExpSum-e]) * int64(save[e]); gain > best {
+			best, floor = gain, e
+		}
+	}
+	return floor
 }
 
 // denseOffsets precomputes each atom's cell offset (v - Min) / g.

@@ -200,6 +200,10 @@ func (d *Dist) convolveDenseScatter(o *Dist, base int64, cells int, g uint64) *D
 //
 // The last two cells are reached only by products that round to 0 and
 // must be absent from the result.
+//
+// The segment corpus (segmentCases) is above segmentMinPairs pairs,
+// and each of its cases runs twice, with the AVX2 axpy and with the Go
+// loop, and must plan a segment both times.
 func TestConvolveDenseStrideBitIdentical(t *testing.T) {
 	mkGrid := func(n int, stride int64) *Dist {
 		vs := make([]int64, n)
@@ -357,6 +361,146 @@ func TestConvolveDenseStrideBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	for _, tc := range segmentCases() {
+		a, b := tc.a, tc.b
+		base := a.Min() + b.Min()
+		g := strideGCD(a, b)
+		if tc.stride > 1 && g != uint64(tc.stride) {
+			t.Fatalf("%s: corpus bug: common stride %d, want %d", tc.name, g, tc.stride)
+		}
+		cells := int(uint64(a.Max()+b.Max()-base)/g) + 1
+		want := naiveConvolve(a, b)
+		scatter := a.convolveDenseScatter(b, base, cells, g)
+		t.Run(tc.name, func(t *testing.T) {
+			runAxpyModes(t, func(t *testing.T) {
+				label := fmt.Sprintf("g=%d", g)
+				in := bandInner(a, b, g)
+				if in.segExp == 0 {
+					t.Fatalf("%s: no segment planned", label)
+				}
+				checkSegmentCorpus(t, label, tc, in)
+				got := a.convolveDenseStride(b, base, cells, g)
+				requireSameDist(t, label+" vs naive", got, want)
+				requireSameDist(t, label+" vs scatter", got, scatter)
+			})
+		})
+	}
+}
+
+// segmentCase is a dense convolution above segmentMinPairs pairs, with
+// the shapes around the segment it must contain.
+type segmentCase struct {
+	name   string
+	stride int64
+	a, b   *Dist
+	// boundary: rows at ep = 1023−E and 1024−E, atoms after the prefix
+	// inside the segment's cell range, and rows that add the segment,
+	// scatter and call addTinyProducts.
+	boundary bool
+	// valueOrder: the segment takes every atom and no product can be
+	// subnormal, so the atoms stay in value order.
+	valueOrder bool
+}
+
+// segmentCases builds the segment corpus. Each operand has atoms i·stride
+// whose probabilities take their biased exponents from a list in turn,
+// with pseudo-random fractions; the lists keep every mass below 1.
+//
+//   - "tail": the inner operand is dense with exponents 1012 and 1013,
+//     every tenth atom dust (990, 960, 500, 5, or a subnormal), so the
+//     floor is E = 1012. The outer rows run from subnormals through
+//     ep = 11 and 12 to 1017: deep-tail rows add the segment, scatter
+//     the 990 dust in hardware and the 960 dust in software, and the
+//     1017 rows scatter the 500 dust and multiply the subnormal dust in
+//     software. At stride 1 the grid is g = 1, at stride 7 g = 7.
+//   - "normal": every product is normal and the floor takes every
+//     inner atom, so the value-order layout carries the segment.
+//   - "normal-banded": every product is normal, but the inner operand
+//     is a dense block plus sparse atoms of exponent 950 far above it,
+//     so the floor leaves them out and the bands are built for the
+//     segment alone.
+func segmentCases() []segmentCase {
+	mk := func(n int, stride int64, exps func(i int) uint64, seed int64) *Dist {
+		rng := rand.New(rand.NewSource(seed))
+		vs := make([]int64, n)
+		ps := make([]float64, n)
+		for i := range vs {
+			vs[i] = int64(i) * stride
+			ps[i] = math.Float64frombits(exps(i)<<52 | rng.Uint64()>>12 | 1)
+		}
+		return fromSorted(vs, ps)
+	}
+	cycle := func(list ...uint64) func(int) uint64 {
+		return func(i int) uint64 { return list[i%len(list)] }
+	}
+	dust := []uint64{990, 960, 500, 5, 0}
+	tailInner := func(i int) uint64 {
+		if i%10 == 3 {
+			return dust[i/10%len(dust)]
+		}
+		return 1012 + uint64(i%2)
+	}
+	tailOuter := cycle(11, 12, 13, 20, 40, 100, 500, 900, 985, 1000, 1010, 1015, 0, 1017, 30, 700)
+	normalOuter := cycle(100, 300, 600, 900, 1000, 1010, 1015)
+	var cases []segmentCase
+	for _, stride := range []int64{1, 7} {
+		cases = append(cases, segmentCase{name: fmt.Sprintf("tail-%d", stride), stride: stride,
+			a: mk(128, stride, tailOuter, 3), b: mk(200, stride, tailInner, 4), boundary: true})
+	}
+	cases = append(cases, segmentCase{name: "normal-3", stride: 3,
+		a: mk(128, 3, normalOuter, 5), b: mk(200, 3, cycle(1010, 1011, 1012, 1013, 1014), 6), valueOrder: true})
+	// The block holds atoms 0..149; atoms 150..169 have exponent 950
+	// and sit 500 cells apart above it.
+	block := mk(170, 1, func(i int) uint64 { return 1012 + uint64(i%2) }, 7)
+	for i := 150; i < 170; i++ {
+		block.values[i] = 150 + 500*int64(i-150)
+		block.probs[i] = math.Float64frombits(950<<52 | math.Float64bits(block.probs[i])&(1<<52-1))
+	}
+	block = fromSorted(block.values, block.probs)
+	cases = append(cases, segmentCase{name: "normal-banded-1", stride: 1, a: mk(128, 1, normalOuter, 8), b: block})
+	return cases
+}
+
+// checkSegmentCorpus fails unless the planned layout in shows what the
+// case is there for.
+func checkSegmentCorpus(t *testing.T, label string, tc segmentCase, in innerBands) {
+	t.Helper()
+	a, b := tc.a, tc.b
+	if mass := a.Mass() * b.Mass(); len(a.values)*len(b.values) < segmentMinPairs || mass > 1 {
+		t.Fatalf("%s: corpus bug: %d×%d pairs, mass %g", label, len(a.values), len(b.values), mass)
+	}
+	if tc.valueOrder != (in.ends == nil) {
+		t.Fatalf("%s: corpus bug: value-order layout %v, want %v", label, in.ends == nil, tc.valueOrder)
+	}
+	if !tc.boundary {
+		return
+	}
+	e := in.segExp
+	// The literals 1023 and 1024 rather than minHardwareExpSum, so a
+	// wrong constant fails too: a row below 1024−E would have subnormal
+	// products in the segment.
+	if in.segmentRow(1023-e) || !in.segmentRow(1024-e) {
+		t.Fatalf("%s: rows at ep = %d and %d take the segment: %v, %v; want false, true",
+			label, 1023-e, 1024-e, in.segmentRow(1023-e), in.segmentRow(1024-e))
+	}
+	var below, at, mixed, inside bool
+	for _, p := range a.probs {
+		ep := biasedExp(p)
+		below = below || ep == 1023-e
+		at = at || ep == 1024-e
+		if in.segmentRow(ep) && ep < in.hwAll {
+			hw, kept := in.split(ep)
+			mixed = mixed || hw > in.segAtoms && kept > hw
+		}
+	}
+	for _, oj := range in.off[in.segAtoms:] {
+		inside = inside || oj >= in.segLo && oj < in.segLo+len(in.seg)
+	}
+	if !below || !at || !mixed || !inside {
+		t.Fatalf("%s: corpus bug: E = %d, rows at ep = 1023−E %v and 1024−E %v, rows mixing all three %v, atoms after the prefix inside the segment %v",
+			label, e, below, at, mixed, inside)
 	}
 }
 
@@ -535,5 +679,47 @@ func TestProductClassSplit(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSegmentPlan pins when the dense kernel plans a segment: never
+// below segmentMinPairs pairs, never for an inner operand the size of
+// one cache set's distribution (the axpy call would cost more than the
+// few atoms it saves), and only when the inner atoms are dense enough
+// on the grid for the cost per cell of the axpy in use: one atom every
+// third cell pays with AVX2 but not with the Go loop.
+func TestSegmentPlan(t *testing.T) {
+	grid := func(n int, gap int64, exp uint64) *Dist {
+		vs := make([]int64, n)
+		ps := make([]float64, n)
+		for i := range vs {
+			vs[i] = int64(i) * gap
+			ps[i] = math.Float64frombits(exp<<52 | uint64(i)*0x9E3779B97F4A7C15>>12)
+		}
+		return fromSorted(vs, ps)
+	}
+	cases := []struct {
+		name         string
+		a, b         *Dist
+		avx2, goLoop bool // whether a segment is planned
+	}{
+		{"below-gate", grid(127, 1, 1000), grid(128, 1, 1012), false, false},
+		{"at-gate", grid(128, 1, 1000), grid(128, 1, 1012), true, true},
+		{"per-set-inner", grid(10_000, 1, 1000), grid(5, 8, 1012), false, false},
+		{"every-3rd-cell", grid(128, 1, 1000), grid(200, 3, 1012), true, false},
+		{"every-10th-cell", grid(128, 1, 1000), grid(200, 10, 1012), false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runAxpyModes(t, func(t *testing.T) {
+				want := tc.goLoop
+				if useAVX2 {
+					want = tc.avx2
+				}
+				if in := bandInner(tc.a, tc.b, 1); (in.segExp > 0) != want {
+					t.Fatalf("segment planned %v (E = %d), want %v", in.segExp > 0, in.segExp, want)
+				}
+			})
+		})
 	}
 }
