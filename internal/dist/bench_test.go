@@ -154,8 +154,8 @@ func BenchmarkConvolveDeepTail(b *testing.B) {
 // "normal" loop is the scatter the segment replaces, so the segment
 // rows give the planner's cost per cell c and the one-cell rows its
 // cost per call k (segmentCosts). README ("Subnormal products in
-// software" and "The segment: normal products in AVX2") lists the
-// results.
+// software" and "The segment: normal products in AVX2") sums up the
+// results, and docs/perf-history.md lists them.
 func BenchmarkMultiplyAdd(b *testing.B) {
 	const n = 1024
 	off := make([]int, n)
@@ -264,4 +264,36 @@ func BenchmarkCoarsenTo1k(b *testing.B)  { benchmarkCoarsenTo(b, 1_000, 256, Coa
 func BenchmarkCoarsenTo10k(b *testing.B) { benchmarkCoarsenTo(b, 10_000, 4096, CoarsenLeastError) }
 func BenchmarkCoarsenKeepHeaviest10k(b *testing.B) {
 	benchmarkCoarsenTo(b, 10_000, 4096, CoarsenKeepHeaviest)
+}
+
+// BenchmarkCoarsenDeepTail coarsens the combined fold's output, the
+// convolution of two deep-tailed 4096-atom operands (the shape
+// BenchmarkConvolveDeepTail convolves), back to the 4096-atom cap.
+func BenchmarkCoarsenDeepTail(b *testing.B) {
+	d := benchTailDist(4096, 16).Convolve(benchTailDist(4096, 17))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = d.CoarsenTo(4096)
+	}
+}
+
+// BenchmarkCoarsenChain coarsens to 4096 atoms a 45k-atom stride-100
+// support whose merge costs rise monotonically from left to right.
+// Such a chain has one local minimum at a time, so its merges cascade
+// one after another: the most phase-hungry shape known for the
+// least-error engine.
+func BenchmarkCoarsenChain(b *testing.B) {
+	const n = 45_000
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Point{Value: 100 * int64(i), Prob: float64(i+1) / (n * (n + 1) / 2)}
+	}
+	d, err := New(pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = d.CoarsenTo(4096)
+	}
 }

@@ -19,19 +19,22 @@
 // exactly mass(i) on the interval [v_i, v_j) and nowhere else, adding
 // area mass(i)·(v_j − v_i) between the coarse and exact curves. The
 // scheme repeatedly merges the adjacent pair with the smallest such
-// incremental area (an indexed heap holding one entry per live pair,
-// re-keyed in place as merges change it, O(n log n)), so light,
-// closely spaced atoms — the deep
-// tail dust of a convolved fault distribution — collapse locally
-// instead of being flung to the support maximum. The total area added
-// to the exceedance curve is the sum of the chosen incremental costs;
-// each individual exceedance probability grows by at most the mass
-// merged across its threshold, and a quantile read at probability p
-// grows by at most the span of the merged run that straddles the exact
-// quantile. In the pWCET pipeline this keeps the deep-tail quantiles
-// (the 1e-9..1e-15 certification targets) within a small factor of the
-// uncapped-exact values even when the cap binds hard (pinned within 2x
-// at 1e-12 on a 256-set configuration by TestCoarsenLeastErrorTailFidelity).
+// incremental area (ties to the leftmost pair), so light, closely
+// spaced atoms — the deep tail dust of a convolved fault distribution —
+// collapse locally instead of being flung to the support maximum. The
+// engine runs that greedy sequence in a few threshold phases, each
+// merging every pair at or below a selected cost that is cheaper than
+// both neighbouring pairs: O(n log n) in the worst case, and bit for
+// bit the one-pop-at-a-time greedy (see coarsenLeastErrorCapped). The
+// total area added to the exceedance curve is the sum of the chosen
+// incremental costs; each individual exceedance probability grows by
+// at most the mass merged across its threshold, and a quantile read at
+// probability p grows by at most the span of the merged run that
+// straddles the exact quantile. In the pWCET pipeline this keeps the
+// deep-tail quantiles (the 1e-9..1e-15 certification targets) within a
+// small factor of the uncapped-exact values even when the cap binds
+// hard (pinned within 2x at 1e-12 on a 256-set configuration by
+// TestCoarsenLeastErrorTailFidelity).
 //
 // # CoarsenKeepHeaviest (legacy)
 //
@@ -55,7 +58,7 @@
 // coarsenSoft, a linear-time threshold sweep that thins merge operands
 // under an explicit exceedance-area budget and a maximum merge-run
 // span (it stops early rather than overspend — the support target is
-// best-effort), and coarsenLeastErrorCapped, the greedy heap above
+// best-effort), and coarsenLeastErrorCapped, the greedy merge above
 // with a run-span eligibility cap that keeps the final hard coarsen
 // from collapsing a pre-thinned tail into the support maximum. The
 // classic engines remain the only ones reachable through the public
@@ -159,13 +162,16 @@ func (d *Dist) coarsenLeastError(target int) *Dist {
 	return d.coarsenLeastErrorCapped(target, math.Inf(1))
 }
 
-// coarsenLeastErrorCapped is the greedy least-error merge engine: a
-// doubly linked list of live atoms plus an exact indexed min-heap
-// (pairHeap) holding one (cost, left) entry per live, span-eligible
-// adjacent pair. Each merge moves the left atom's (accumulated) mass to
-// its right neighbor, exactly the upward direction the soundness
-// contract requires; the rightmost atom has no right neighbor, so the
-// support maximum can never move.
+// coarsenLeastErrorCapped is the greedy least-error merge engine. The
+// greedy repeatedly merges the eligible adjacent pair with the least
+// (cost, left) key; this engine reproduces that merge sequence bit for
+// bit in a few threshold phases instead of one pop at a time. The live
+// atoms form a doubly linked list, and key[i] caches the key of pair
+// (i, next[i]): its cost, or +Inf when i has no right partner, the
+// span cap freezes the merge, or i was merged away. Each merge moves
+// the left atom's (accumulated) mass to its right neighbor, exactly
+// the upward direction the soundness contract requires; the rightmost
+// atom has no right neighbor, so the support maximum can never move.
 //
 // maxGap additionally bounds every merged run's value span: a merge is
 // eligible only while destination − (smallest value folded into the
@@ -181,217 +187,189 @@ func (d *Dist) coarsenLeastError(target int) *Dist {
 // eligible merges to reach target (sparse supports clustered wider
 // than maxGap), the engine finishes with one uncapped pass over the
 // survivors — the support bound is the contract, the span cap is best
-// effort.
+// effort. maxGap = +Inf makes every pair eligible for the classic
+// engine.
 //
-// Merging left atom i into j = next[i] touches exactly two other pairs:
-// (j, next[j]), whose left mass grew, and (prev[i], j), whose right
-// partner moved up to a larger value. Both costs can only rise (each is
-// a product of non-negative factors that only grew, and float64
-// rounding is monotone), and both spans can only widen, so a frozen
-// (span-ineligible) pair never becomes eligible again. The heap
-// therefore re-keys those two entries by sifting down, or removes them
-// when they lose eligibility, and otherwise never changes: it always
-// holds exactly the current eligible pairs, and every pop is the
-// minimum (cost, left) among them — the pop order of the greedy merge.
-// maxGap = +Inf makes every pair eligible for the classic engine.
+// A phase takes K, the r-th smallest eligible key with r = alive −
+// target (ties taken left to right, as selectThreshold decides them
+// for coarsenSoft; K = +Inf when r covers every eligible pair). It
+// merges every pair whose key is at most K and below both neighbouring
+// pairs' keys in (key, left) order, and after each merge re-checks the
+// four pairs whose standing that merge can change (prev[prev[i]],
+// prev[i], j and next[j]), until no pair at or below K is left. Phases
+// repeat until the support reaches target or no pair is eligible. The
+// phases reproduce the greedy:
+//
+//  1. Merging pair i (left atom i into j = next[i]) changes only pairs
+//     prev[i] and j: j's left mass grew and prev[i]'s right partner
+//     moved up, so both keys can only rise (each cost is a product of
+//     non-negative factors that only grew, float64 rounding is
+//     monotone, and spans only widen, so a frozen pair stays frozen).
+//     Every key the greedy pops is therefore at least the one before.
+//  2. A pair whose key is below both neighbouring pairs' keys (a local
+//     minimum) keeps its key until a neighbour merges, and the
+//     neighbours' keys only rise, so the greedy pops it before either
+//     neighbour. Its merge changes the mass and span of atoms i and j
+//     only, so local minima commute: merging them in any order makes
+//     the greedy's pops up to K, with every mass sum added in the same
+//     order.
+//  3. At most r greedy pops have a key at most K, because each pops a
+//     distinct left atom whose key was already at most K when the phase
+//     started. So a phase never overshoots the target.
+//  4. Each merge removes at most three pairs from those with key at
+//     most K (its own and the two it re-keys), and a phase ends only
+//     when none is left, so it merges at least ⌈s/3⌉ pairs, s = min(r,
+//     eligible pairs). That gives O(log n) phases and O(n log n) work in
+//     the worst case. Under pwcetcheck each phase asserts this bound.
 func (d *Dist) coarsenLeastErrorCapped(target int, maxGap float64) *Dist {
-	n := len(d.values)
+	n := int32(len(d.values))
+	inf := math.Inf(1)
 	mass := make([]float64, n)
 	copy(mass, d.probs)
 	low := make([]float64, n) // smallest original value folded into atom i
 	for i, v := range d.values {
 		low[i] = float64(v)
 	}
-	next := make([]int, n)
-	prev := make([]int, n)
-	removed := make([]bool, n)
+	next := make([]int32, n)
+	prev := make([]int32, n)
 	for i := range next {
-		next[i] = i + 1
-		prev[i] = i - 1
+		next[i] = int32(i + 1)
+		prev[i] = int32(i - 1)
 	}
 	// The gap is computed in float64 (values are sorted, but the int64
 	// difference of two extreme values may not fit int64); the cost is
 	// a merge-ordering heuristic, so the rounding is harmless.
-	frozen := func(i int) bool {
-		return float64(d.values[next[i]])-low[i] > maxGap // run span cap: this merge would travel too far
-	}
-	cost := func(i int) float64 {
-		return mass[i] * (float64(d.values[next[i]]) - float64(d.values[i]))
-	}
-	h := newPairHeap(n)
-	for i := 0; i < n-1; i++ {
-		if !frozen(i) {
-			h.add(cost(i), i)
-		}
-	}
-	h.heapify()
-	// rekey refreshes pair (i, next[i]) after a merge changed it: a pair
-	// outside the heap is frozen for good, one that just froze leaves.
-	rekey := func(i int) {
-		switch {
-		case !h.has(i):
-		case frozen(i):
-			h.remove(i)
-		default:
-			h.raise(i, cost(i))
-		}
-	}
-	alive := n
-	for alive > target && h.len() > 0 {
-		i := h.popMin()
+	keyOf := func(i int32) float64 {
 		j := next[i]
-		mass[j] += mass[i]
-		if low[i] < low[j] {
-			low[j] = low[i]
+		if j == n {
+			return inf
 		}
-		removed[i] = true
-		if p := prev[i]; p >= 0 {
-			next[p] = j
+		vj := float64(d.values[j])
+		if vj-low[i] > maxGap {
+			return inf // run span cap: this merge would travel too far
+		}
+		return mass[i] * (vj - float64(d.values[i]))
+	}
+	key := make([]float64, n)
+	for i := range key {
+		key[i] = keyOf(int32(i))
+	}
+	sel := make([]float64, 0, n)
+	work := make([]int32, 0, n)
+	// The phase threshold: bound is K, and cut the last pair whose key
+	// equals K that the phase takes. Pair i is at or below the threshold
+	// when (key[i], i) <= (bound, cut) in lexicographic order.
+	var bound float64
+	var cut int32
+	// ready reports whether pair i is at or below the threshold and pops
+	// before both neighbouring pairs (the left one wins a tie).
+	ready := func(i int32) bool {
+		k := key[i]
+		if k > bound || k == bound && i > cut {
+			return false // merged away, frozen, or above the threshold
+		}
+		p := prev[i]
+		return (p < 0 || key[p] > k) && key[next[i]] >= k
+	}
+	head, alive := int32(0), int(n)
+	for alive > target {
+		sel = sel[:0]
+		for i := head; i < n; i = next[i] {
+			if key[i] < inf {
+				sel = append(sel, key[i])
+			}
+		}
+		if len(sel) == 0 {
+			break
+		}
+		r := alive - target
+		s := min(r, len(sel))
+		bound, cut = inf, -1
+		if r < len(sel) {
+			var ties int
+			bound, ties = selectThreshold(sel, r)
+			for cut = head; ; cut = next[cut] {
+				if key[cut] == bound {
+					if ties--; ties == 0 {
+						break
+					}
+				}
+			}
+		}
+		work = work[:0]
+		for i := head; i < n; i = next[i] {
+			if ready(i) {
+				work = append(work, i)
+			}
+		}
+		merged := 0
+		for len(work) > 0 {
+			i := work[len(work)-1]
+			work = work[:len(work)-1]
+			if !ready(i) {
+				continue // merged already, or a neighbour now pops first
+			}
+			p, j := prev[i], next[i]
+			mass[j] += mass[i]
+			if low[i] < low[j] {
+				low[j] = low[i]
+			}
+			key[i] = inf
 			prev[j] = p
-			rekey(p)
-		} else {
-			prev[j] = -1
+			if p >= 0 {
+				next[p] = j
+				key[p] = keyOf(p)
+				if prev[p] >= 0 {
+					work = append(work, prev[p])
+				}
+				work = append(work, p)
+			} else {
+				head = j
+			}
+			key[j] = keyOf(j)
+			work = append(work, j)
+			if next[j] < n {
+				work = append(work, next[j])
+			}
+			alive--
+			merged++
 		}
-		if next[j] < n {
-			rekey(j)
+		if checkEnabled && (merged < (s+2)/3 || merged > s) {
+			panic(fmt.Sprintf("pwcetcheck: coarsenLeastErrorCapped: a phase merged %d pairs, want %d..%d", merged, (s+2)/3, s))
 		}
-		alive--
 	}
 	values := make([]int64, 0, alive)
 	probs := make([]float64, 0, alive)
-	for i := 0; i < n; i++ {
-		if !removed[i] {
-			values = append(values, d.values[i])
-			probs = append(probs, mass[i])
-		}
+	for i := head; i < n; i = next[i] {
+		values = append(values, d.values[i])
+		probs = append(probs, mass[i])
 	}
+	out := fromSorted(values, probs)
 	if alive > target {
-		// The span cap ran the heap dry early: finish uncapped on the
-		// survivors so the support bound always holds.
-		return fromSorted(values, probs).coarsenLeastError(target)
+		// The span cap left no eligible pair early: finish uncapped on
+		// the survivors so the support bound always holds.
+		out = out.coarsenLeastError(target)
 	}
-	return fromSorted(values, probs)
-}
-
-// pairEntry is one merge candidate: the pair (left, next[left]) at its
-// current exceedance-area cost.
-type pairEntry struct {
-	cost float64
-	left int32
-}
-
-// pairLess orders candidates by cost, ties broken by the left index so
-// the merge sequence — and therefore the result — is deterministic.
-func pairLess(a, b pairEntry) bool {
-	return a.cost < b.cost || (a.cost == b.cost && a.left < b.left)
-}
-
-// pairHeap is the indexed 4-ary min-heap of coarsenLeastErrorCapped:
-// at most one entry per left index, with pos[left] its slot (-1 when
-// absent), so an entry is re-keyed or removed in place. Four children
-// per node halve the depth of a binary heap, and the comparisons are
-// direct calls the compiler inlines — this heap is on the in-tree
-// reduction's critical path.
-type pairHeap struct {
-	a   []pairEntry
-	pos []int32
-}
-
-func newPairHeap(n int) *pairHeap {
-	pos := make([]int32, n)
-	for i := range pos {
-		pos[i] = -1
+	if checkEnabled && out.Len() > target {
+		panic(fmt.Sprintf("pwcetcheck: coarsenLeastErrorCapped: %d atoms, want at most %d", out.Len(), target))
 	}
-	return &pairHeap{a: make([]pairEntry, 0, n), pos: pos}
+	return out
 }
 
-func (h *pairHeap) len() int       { return len(h.a) }
-func (h *pairHeap) has(i int) bool { return h.pos[i] >= 0 }
-
-// add appends an entry without restoring the heap order; heapify
-// restores it once all initial entries are in.
-func (h *pairHeap) add(cost float64, i int) {
-	h.pos[i] = int32(len(h.a))
-	h.a = append(h.a, pairEntry{cost: cost, left: int32(i)})
-}
-
-func (h *pairHeap) heapify() {
-	for k := (len(h.a)+2)/4 - 1; k >= 0; k-- { // the last node with a child first
-		h.down(k)
-	}
-}
-
-// popMin removes the minimum entry and returns its left index.
-func (h *pairHeap) popMin() int {
-	i := int(h.a[0].left)
-	h.remove(i)
-	return i
-}
-
-// raise re-keys entry i to a cost no smaller than its current one.
-func (h *pairHeap) raise(i int, cost float64) {
-	k := int(h.pos[i])
-	h.a[k].cost = cost
-	h.down(k)
-}
-
-// remove deletes entry i, filling its slot with the last entry.
-func (h *pairHeap) remove(i int) {
-	k := int(h.pos[i])
-	h.pos[i] = -1
-	last := len(h.a) - 1
-	e := h.a[last]
-	h.a = h.a[:last]
-	if k == last {
-		return
-	}
-	h.a[k] = e
-	h.pos[e.left] = int32(k)
-	if k > 0 && pairLess(e, h.a[(k-1)/4]) {
-		h.up(k)
-	} else {
-		h.down(k)
-	}
-}
-
-func (h *pairHeap) up(k int) {
-	e := h.a[k]
-	for k > 0 {
-		p := (k - 1) / 4
-		if !pairLess(e, h.a[p]) {
-			break
+// selectThreshold returns θ, the m-th smallest of keys (1 <= m <=
+// len(keys)), and ties, how many keys equal to θ rank among the m
+// smallest: a pass that takes every key below θ and then the keys equal
+// to θ from left to right until ties are taken takes exactly m. It
+// permutes keys.
+func selectThreshold(keys []float64, m int) (theta float64, ties int) {
+	theta = quickselectFloat(keys, m-1)
+	ties = m
+	for _, c := range keys {
+		if c < theta {
+			ties--
 		}
-		h.a[k] = h.a[p]
-		h.pos[h.a[k].left] = int32(k)
-		k = p
 	}
-	h.a[k] = e
-	h.pos[e.left] = int32(k)
-}
-
-func (h *pairHeap) down(k int) {
-	a := h.a
-	e := a[k]
-	for {
-		c := 4*k + 1
-		if c >= len(a) {
-			break
-		}
-		m := c
-		for x, end := c+1, min(c+4, len(a)); x < end; x++ {
-			if pairLess(a[x], a[m]) {
-				m = x
-			}
-		}
-		if !pairLess(a[m], e) {
-			break
-		}
-		a[k] = a[m]
-		h.pos[a[k].left] = int32(k)
-		k = m
-	}
-	a[k] = e
-	h.pos[e.left] = int32(k)
+	return theta, ties
 }
 
 // quickselectFloat partially sorts a in place and returns its k-th
@@ -446,7 +424,7 @@ func quickselectFloat(a []float64, k int) float64 {
 // mass(i)·(v_{i+1} − v_i), then sweeps left to right merging the atoms
 // whose cost is below θ (ties at θ are taken left to right until the
 // merge count target is met) — approximately the same atom set the
-// greedy heap would merge, at O(n) instead of O(n log n). The guards:
+// greedy merge would, in one linear pass. The guards:
 //
 //   - maxGap bounds every merge run's value span, measured to the run's
 //     true destination (the next kept atom). Mass never travels more
@@ -477,13 +455,7 @@ func (d *Dist) coarsenSoft(target int, budget, maxGap float64) (*Dist, float64) 
 	}
 	sel := make([]float64, n-1)
 	copy(sel, costs)
-	theta := quickselectFloat(sel, m-1)
-	ties := m
-	for _, c := range costs {
-		if c < theta {
-			ties--
-		}
-	}
+	theta, ties := selectThreshold(sel, m)
 
 	values := make([]int64, 0, target)
 	probs := make([]float64, 0, target)

@@ -1,14 +1,14 @@
 package dist
 
-// The lazy-invalidation heap engine that coarsenLeastErrorCapped
-// replaced, kept as the oracle the indexed-heap engine is pinned to
-// bitwise (TestCoarsenLeastErrorEnginesAgree,
-// FuzzCoarsenLeastErrorEngines). It pushes a fresh candidate whenever a
-// pair changes and skips the stale ones on pop, so its pop order is the
-// (cost, left) order of the current eligible pairs by construction —
-// the property the indexed heap must reproduce. Its uncapped fallback
-// recurses into itself, so the oracle shares no merge code with the
-// engine it checks.
+// The lazy-invalidation heap engine, kept as the oracle the threshold
+// phases of coarsenLeastErrorCapped are pinned to bitwise
+// (TestCoarsenLeastErrorEnginesAgree, FuzzCoarsenLeastErrorEngines). It
+// pushes a fresh candidate whenever a pair changes and skips the stale
+// ones on pop, so it merges one pair at a time in the (cost, left)
+// order of the current eligible pairs by construction — the greedy
+// sequence the phases must reproduce. Its uncapped fallback recurses
+// into itself, so the oracle shares no merge code with the engine it
+// checks.
 
 import (
 	"encoding/binary"
@@ -191,11 +191,15 @@ func requireSameDist(t *testing.T, label string, got, want *Dist) {
 	}
 }
 
-// TestCoarsenLeastErrorEnginesAgree pins the indexed-heap engine to the
+// TestCoarsenLeastErrorEnginesAgree pins the phase engine to the
 // lazy-heap oracle bitwise on the shapes where the two could part:
-// equal-cost ties (decided by the left index alone), masses down to the
-// smallest subnormal, finite span caps that freeze pairs for good, and
-// caps that run the heap dry so the uncapped fallback finishes the job.
+// equal-cost ties (decided by the left index alone, also where a
+// phase's threshold falls inside a run of them), masses down to the
+// smallest subnormal, chains whose merges cascade through one phase
+// after another, the first atom merging away, finite span caps that
+// freeze pairs for good (also in the middle of a phase), caps that
+// leave every eligible pair under the threshold, and caps that leave
+// no eligible pair so the uncapped fallback finishes the job.
 func TestCoarsenLeastErrorEnginesAgree(t *testing.T) {
 	raw := func(values []int64, probs []float64) *Dist { return fromSorted(values, probs) }
 	// uniform: n equally spaced atoms of equal mass — every initial
@@ -241,6 +245,43 @@ func TestCoarsenLeastErrorEnginesAgree(t *testing.T) {
 		}
 		return raw(vs, ps)
 	}
+	// chain: a stride-100 support whose merge costs rise (or fall) from
+	// left to right, so only one pair at a time is a local minimum.
+	chain := func(n int, rising bool) *Dist {
+		vs := make([]int64, n)
+		ps := make([]float64, n)
+		for i := range vs {
+			vs[i] = int64(100 * i)
+			w := i + 1
+			if !rising {
+				w = n - i
+			}
+			ps[i] = float64(w) / float64(n*(n+1)/2)
+		}
+		return raw(vs, ps)
+	}
+	// tieRun: 50 pairs of distinct small costs, then 100 of one equal
+	// cost, then 50 larger ones. Coarsening 201 atoms to 101 puts the
+	// first phase's threshold inside the run of equal costs, so which
+	// of them merge is decided by the left index alone.
+	tieRun := func() *Dist {
+		vs := make([]int64, 201)
+		ps := make([]float64, 201)
+		for i := range vs {
+			vs[i] = int64(10 * i)
+			switch {
+			case i < 50:
+				ps[i] = math.Ldexp(float64(i+1), -16)
+			case i < 150:
+				ps[i] = math.Ldexp(1, -9)
+			default:
+				ps[i] = math.Ldexp(float64(i), -15)
+			}
+		}
+		return raw(vs, ps)
+	}
+	fuzzHead, fuzzTarget, fuzzGap := fuzzCoarsenInput(
+		[]byte("00\x00\x00\x00\x00\x00\x00\x00\x000000\x00000\x0000\x000000000"), 'L', 2)
 	bench := benchDist(5000, 21)
 	rng := rand.New(rand.NewSource(7))
 	randomWide := func(n int) *Dist {
@@ -261,6 +302,13 @@ func TestCoarsenLeastErrorEnginesAgree(t *testing.T) {
 		target int
 		maxGap float64
 	}{
+		{"head-merges-first", fuzzHead, fuzzTarget, fuzzGap},
+		{"chain-rising", chain(3000, true), 100, math.Inf(1)},
+		{"chain-falling", chain(3000, false), 100, math.Inf(1)},
+		{"chain-rising-freezes-mid-phase", chain(3000, true), 100, 450},
+		{"threshold-in-tie-run", tieRun(), 101, math.Inf(1)},
+		{"every-eligible-pair-under-inf", clusters(6, 10), 6, 200},
+		{"fallback-after-cap-runs-dry", clusters(6, 10), 4, 200},
 		{"ties-uncapped", uniform(200), 17, math.Inf(1)},
 		{"ties-capped", uniform(200), 40, 35},
 		{"subnormal-uncapped", subnormalTail(), 9, math.Inf(1)},
@@ -288,35 +336,44 @@ func TestCoarsenLeastErrorEnginesAgree(t *testing.T) {
 	}
 }
 
-// FuzzCoarsenLeastErrorEngines pins the indexed-heap engine to the
-// lazy-heap oracle bitwise on arbitrary supports: 4-byte records of
-// value gap, mass exponent and mass mantissa (masses range from 2^-9
-// down to the smallest subnormal; repeated records make exact cost
-// ties), an arbitrary target, and a span cap from none to tighter than
-// any gap.
+// fuzzCoarsenInput decodes FuzzCoarsenLeastErrorEngines' input: 4-byte
+// records of value gap, mass exponent and mass mantissa (masses range
+// from 2^-9 down to the smallest subnormal; repeated records make exact
+// cost ties), an arbitrary target, and a span cap from none (gap8 = 0)
+// to tighter than any gap. d is nil when fewer than two records fit.
+func fuzzCoarsenInput(data []byte, target8, gap8 uint8) (d *Dist, target int, maxGap float64) {
+	var vs []int64
+	var ps []float64
+	v := int64(0)
+	for len(data) >= 4 && len(vs) < 256 {
+		v += 1 + int64(binary.LittleEndian.Uint16(data[:2]))
+		e := int(data[2]) * 1065 / 255
+		vs = append(vs, v)
+		ps = append(ps, math.Ldexp(1+float64(data[3])/256, -9-e))
+		data = data[4:]
+	}
+	if len(vs) < 2 {
+		return nil, 0, 0
+	}
+	maxGap = math.Inf(1)
+	if gap8 != 0 {
+		maxGap = float64(gap8) * 256
+	}
+	return fromSorted(vs, ps), 1 + int(target8)%(len(vs)-1), maxGap
+}
+
+// FuzzCoarsenLeastErrorEngines pins the phase engine to the lazy-heap
+// oracle bitwise on arbitrary supports (see fuzzCoarsenInput).
 func FuzzCoarsenLeastErrorEngines(f *testing.F) {
 	f.Add(make([]byte, 64), uint8(3), uint8(0))
 	f.Add([]byte{1, 0, 255, 0, 2, 255, 255, 9, 3, 10, 0, 1, 200, 128, 7, 7, 1, 255, 0, 0}, uint8(1), uint8(3))
 	f.Add([]byte{9, 1, 2, 3, 9, 1, 2, 3, 9, 1, 2, 3, 200, 40, 5, 5, 1, 1, 1, 1, 1, 1, 1, 1}, uint8(2), uint8(1))
+	// The first atom merges away: the engine must follow the list head.
+	f.Add([]byte("00\x00\x00\x00\x00\x00\x00\x00\x000000\x00000\x0000\x000000000"), uint8('L'), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, target8, gap8 uint8) {
-		var vs []int64
-		var ps []float64
-		v := int64(0)
-		for len(data) >= 4 && len(vs) < 256 {
-			v += 1 + int64(binary.LittleEndian.Uint16(data[:2]))
-			e := int(data[2]) * 1065 / 255
-			vs = append(vs, v)
-			ps = append(ps, math.Ldexp(1+float64(data[3])/256, -9-e))
-			data = data[4:]
-		}
-		if len(vs) < 2 {
+		d, target, maxGap := fuzzCoarsenInput(data, target8, gap8)
+		if d == nil {
 			return
-		}
-		d := fromSorted(vs, ps)
-		target := 1 + int(target8)%(len(vs)-1)
-		maxGap := math.Inf(1)
-		if gap8 != 0 {
-			maxGap = float64(gap8) * 256
 		}
 		requireSameDist(t, "capped engine", d.coarsenLeastErrorCapped(target, maxGap),
 			d.coarsenLeastErrorLazy(target, maxGap))

@@ -3,9 +3,8 @@ package dist
 // siftDownFunc restores the min-heap property of h rooted at root,
 // under the given strict order. It serves the merge-plan builder, whose
 // heap holds one node per input and is built once per reduction. The
-// hot heaps — the k-way merge and the coarsening pairHeap — sift with
-// direct comparisons instead (see convolveKWay for what the indirect
-// call costs).
+// hot heap, the k-way merge's, sifts with direct comparisons instead
+// (see convolveKWay for what the indirect call costs).
 func siftDownFunc[T any](h []T, root int, less func(a, b T) bool) {
 	for {
 		child := 2*root + 1
