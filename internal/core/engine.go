@@ -8,26 +8,30 @@ package core
 // IPET system, the fault-free WCET and the per-set FMM ILP solves
 // exactly once per distinct configuration, instead of once per query.
 //
-// Artifact layers and their keys:
+// Artifact layers and their keys. NewEngine verifies the loop metadata
+// and reducibility and builds the IPET constraint system with its
+// phase-1 simplex basis, once per program. Everything else lives in five
+// memo tables, each a pure function of its key, all served by one
+// protocol (get, memo.go) and one LRU (memory.go):
 //
-//   - program level (NewEngine): loop-metadata verification,
-//     reducibility check, the IPET constraint system with its phase-1
-//     simplex basis;
-//   - per (cache config, reference kind): the abstract-interpretation
-//     analyzer with its classification fixpoints, and lazily the SRB
-//     guaranteed-hit classification;
-//   - per (instruction cache, optional data cache): a warm System
-//     clone pivoted by exactly the fault-free WCET solve, plus the
-//     WCET result itself;
-//   - per (context, reference kind, FMM artifact): the
-//     mechanism-independent f < W FMM columns (one ILP solve per set
-//     and fault count) and the three flavours of the f = W column
-//     (none, SRB, precise SRB), from which any mechanism's FMM is
-//     spliced without further solves;
-//   - per context: the transient hit-bound vector (one ILP solve per
-//     set), shared by every transient and combined scenario — the
-//     bound does not depend on lambda, pfail or mechanism, so a lambda
-//     sweep computes it exactly once.
+//   - classes, by classKey (cache geometry, reference stream): the
+//     abstract-interpretation analyzer with its classification
+//     fixpoints;
+//   - srbs, by classKey: the SRB guaranteed-hit vector of that
+//     classification, computed when an SRB column first needs it;
+//   - ctxs, by ctxKey (instruction cache, optional data cache): a warm
+//     System clone pivoted by exactly the fault-free WCET solve, plus
+//     the WCET result itself. A context dependency-pins the
+//     classifications it was built from;
+//   - fmms, by (ctxKey, FMM kind, reference stream): the
+//     mechanism-independent f < W FMM columns (one ILP solve per set and
+//     fault count) and the three flavours of the f = W column (none,
+//     SRB, precise SRB), from which any mechanism's FMM is spliced
+//     without further solves;
+//   - hbs, by ctxKey: the transient hit-bound vector (one ILP solve per
+//     set), shared by every transient and combined scenario — the bound
+//     does not depend on lambda, pfail or mechanism, so a lambda sweep
+//     computes it exactly once.
 //
 // A Query then only performs the cheap per-query work: the fault model
 // of equation 1, the probability weighting of equations 2/3, the
@@ -288,9 +292,13 @@ type Engine struct {
 	poisoned atomic.Bool
 	panicVal atomic.Pointer[PanicError]
 
+	// The memo tables (see the file comment), guarded by mu.
 	mu      sync.Mutex
-	classes map[classKey]*classEntry
-	ctxs    map[ctxKey]*ctxEntry
+	classes memo[classKey, classification]
+	srbs    memo[classKey, []bool]
+	ctxs    memo[ctxKey, wcetCtx]
+	fmms    memo[fmmKey, ipet.FMM]
+	hbs     memo[ctxKey, ipet.HitBounds]
 
 	// Artifact-memory accounting (see memory.go), guarded by mu.
 	lruHead, lruTail *memoNode
@@ -308,15 +316,11 @@ type classKey struct {
 	data bool
 }
 
-// classEntry memoizes the analyzer and classification of one classKey.
-type classEntry struct {
-	node *memoNode
-	once sync.Once
+// classification is the artifact of one classKey: the analyzer with
+// its fixpoints and the fault-free classification of every reference.
+type classification struct {
 	a    *absint.Analyzer
 	base []chmc.Class
-
-	srbOnce sync.Once
-	srbHit  []bool
 }
 
 // ctxKey identifies one WCET context: the instruction cache plus the
@@ -328,40 +332,35 @@ type ctxKey struct {
 	hasData bool
 }
 
-// ctxEntry memoizes one context's warm system, WCET and FMM artifacts.
-// The fmms map and fmmList are guarded by Engine.mu; fmmList mirrors the
-// map as a slice so evicting a whole context can settle its FMM nodes
-// without a map iteration.
-type ctxEntry struct {
-	node *memoNode
-	once sync.Once
-	err  error
-
-	ic, dc *classEntry
+// wcetCtx is the artifact of one ctxKey: the warm system and the WCET
+// result, with the classification cells it dependency-pins for as long
+// as it is resident.
+type wcetCtx struct {
+	key    ctxKey
+	ic, dc *memoCell[classification]
 	sys    *ipet.System
 	wcet   *ipet.WCETResult
-
-	fmms    map[fmmKey]*fmmEntry
-	fmmList []*fmmEntry
-
-	// hbe memoizes the context's transient hit-bound vector (guarded by
-	// Engine.mu like fmms); nil until a transient or combined query
-	// needs it, and reset to nil on eviction.
-	hbe *hbEntry
 }
 
-// hbEntry memoizes the per-set transient hit bounds of one context —
-// like the FMM artifacts, an independently evictable pure function of
-// the context key (the bounds depend only on the classification and the
-// constraint system, not on lambda, pfail or mechanism).
-type hbEntry struct {
-	node *memoNode
-	once sync.Once
-	hb   ipet.HitBounds
-	err  error
+// class returns the context's classification of one reference stream.
+func (w wcetCtx) class(data bool) classification {
+	if data {
+		return w.dc.val
+	}
+	return w.ic.val
 }
 
-// fmmKind selects one memoized FMM artifact of a context.
+// unpinClasses releases the context's dependency pins on its
+// classifications: it is the ctxs table's evicted hook, and a context
+// whose WCET solve fails calls it too. Engine.mu must be held.
+func (w wcetCtx) unpinClasses() {
+	w.ic.node.unpin(pinDep)
+	if w.dc != nil {
+		w.dc.node.unpin(pinDep)
+	}
+}
+
+// fmmKind selects one FMM artifact of a context.
 type fmmKind int
 
 const (
@@ -376,17 +375,12 @@ const (
 	fmmPreciseColumn
 )
 
+// fmmKey identifies one FMM artifact: a kind, computed for one
+// reference stream of one context.
 type fmmKey struct {
+	ctx  ctxKey
 	kind fmmKind
 	data bool
-}
-
-type fmmEntry struct {
-	key  fmmKey
-	node *memoNode
-	once sync.Once
-	fmm  ipet.FMM
-	err  error
 }
 
 // NewEngine builds an analysis session for the program: it verifies the
@@ -426,8 +420,7 @@ func NewEngine(p *program.Program, opt EngineOptions) (*Engine, error) {
 		exact:    opt.ExactConvolve,
 		maxBytes: opt.MaxArtifactBytes,
 		pristine: sys,
-		classes:  make(map[classKey]*classEntry),
-		ctxs:     make(map[ctxKey]*ctxEntry),
+		ctxs:     memo[ctxKey, wcetCtx]{evicted: wcetCtx.unpinClasses},
 	}, nil
 }
 
@@ -443,377 +436,167 @@ func (e *Engine) emit(ev ArtifactEvent) {
 	}
 }
 
-// class returns the memoized classification of one cache configuration,
-// computing the fixpoints on first use. The entry is pinned for the
-// caller — class is only called from context construction, and the
-// resulting context holds the pin until it is itself evicted (or its
-// construction fails), so a resident context can never reference an
-// evicted, unaccounted classification.
-func (e *Engine) class(cfg cache.Config, data bool) *classEntry {
-	key := classKey{cfg: cfg, data: data}
-	e.mu.Lock()
-	c := e.classes[key]
-	if c == nil {
-		c = &classEntry{}
-		c.node = &memoNode{drop: func(e *Engine) { delete(e.classes, key) }}
-		e.classes[key] = c
-		e.misses++
-	} else {
-		e.hits++
-		e.touchLocked(c.node)
-	}
-	// A dependency pin: held by the owning context for its resident
-	// lifetime, not by the query that happens to be constructing it.
-	c.node.pins++
-	c.node.depPins++
-	e.mu.Unlock()
-	c.once.Do(func() {
+// class returns the classification cell of one cache configuration and
+// reference stream, computing the fixpoints on first use. It is only
+// called while a context is being built, and the cell comes back
+// dependency-pinned for that context, which holds the pin until it is
+// evicted or its WCET solve fails. A resident context therefore never
+// references an evicted, unaccounted classification. The computation
+// cannot fail, so neither can class.
+func (e *Engine) class(qctx context.Context, cfg cache.Config, data bool) *memoCell[classification] {
+	ev := ArtifactEvent{Artifact: ArtifactClassification, Cache: cfg, Data: data}
+	c, _ := get(e, qctx, &e.classes, classKey{cfg: cfg, data: data}, pinDep, ev, func() (classification, int64, error) {
+		var a *absint.Analyzer
 		switch {
 		case data && e.ref:
-			c.a = absint.NewDataReference(e.p, cfg)
+			a = absint.NewDataReference(e.p, cfg)
 		case data:
-			c.a = absint.NewData(e.p, cfg)
+			a = absint.NewData(e.p, cfg)
 		case e.ref:
-			c.a = absint.NewReference(e.p, cfg)
+			a = absint.NewReference(e.p, cfg)
 		default:
-			c.a = absint.New(e.p, cfg)
+			a = absint.New(e.p, cfg)
 		}
-		c.base = c.a.ClassifyAll()
-		e.mu.Lock()
-		e.chargeLocked(c.node, c.a.MemBytes()+int64(cap(c.base)))
-		e.mu.Unlock()
-		e.emit(ArtifactEvent{Artifact: ArtifactClassification, Cache: cfg, Data: data})
+		base := a.ClassifyAll()
+		return classification{a: a, base: base}, a.MemBytes() + int64(cap(base)), nil
 	})
 	return c
 }
 
-// srb returns the memoized SRB guaranteed-hit classification. Its bytes
-// are charged onto the owning classification's node (it shares that
-// artifact's lifetime and key).
-func (e *Engine) srb(c *classEntry, data bool) []bool {
-	c.srbOnce.Do(func() {
-		c.srbHit = c.a.ClassifySRB()
-		e.mu.Lock()
-		e.chargeLocked(c.node, int64(cap(c.srbHit)))
-		e.mu.Unlock()
-		e.emit(ArtifactEvent{Artifact: ArtifactSRBClassification, Cache: c.a.Config(), Data: data})
+// srb returns the SRB guaranteed-hit vector of a classification the
+// caller holds (through its context's dependency pin). Like class, it
+// cannot fail.
+func (e *Engine) srb(qctx context.Context, cl classification, data bool) []bool {
+	cfg := cl.a.Config()
+	ev := ArtifactEvent{Artifact: ArtifactSRBClassification, Cache: cfg, Data: data}
+	c, _ := get(e, qctx, &e.srbs, classKey{cfg: cfg, data: data}, pinNone, ev, func() ([]bool, int64, error) {
+		hit := cl.a.ClassifySRB()
+		return hit, int64(cap(hit)), nil
 	})
-	return c.srbHit
+	return c.val
 }
 
-// context returns the memoized WCET context of the query's cache pair:
-// a private System warmed by exactly the fault-free WCET solve a
-// one-shot Analyze would run, and the WCET result. Genuine analysis
-// errors are sticky; cancellation errors are not — a canceled entry is
-// dropped from the memo map inside its sync.Once, so a caller whose own
-// context is still live retries against a fresh entry instead of
-// inheriting another query's cancellation.
-//
-// The returned context is pinned for the calling query — it cannot be
-// evicted while the analysis uses it. The caller must releaseCtx it
-// (analyze defers this); on error the pin is dropped here.
-func (e *Engine) context(qctx context.Context, icfg cache.Config, dcfg *cache.Config) (*ctxEntry, error) {
-	for {
-		ce, err := e.contextOnce(qctx, icfg, dcfg)
-		if err == nil {
-			return ce, nil
-		}
-		if !isCancelErr(err) || qctx.Err() != nil {
-			return nil, err
-		}
-		// The shared computation was canceled by the context of whichever
-		// query created the entry; ours is still live and the canceled
-		// entry is already out of the memo map, so retry computes fresh.
-	}
-}
-
-func (e *Engine) contextOnce(qctx context.Context, icfg cache.Config, dcfg *cache.Config) (*ctxEntry, error) {
+// context returns the WCET context of the query's cache pair: a private
+// System warmed by exactly the fault-free WCET solve a one-shot Analyze
+// would run, and the WCET result. The cell comes back pinned for the
+// calling query, which must release it (analyzeOnce defers this).
+func (e *Engine) context(qctx context.Context, icfg cache.Config, dcfg *cache.Config) (*memoCell[wcetCtx], error) {
 	key := ctxKey{icfg: icfg}
 	if dcfg != nil {
 		key.dcfg, key.hasData = *dcfg, true
 	}
-	e.mu.Lock()
-	ce := e.ctxs[key]
-	if ce == nil {
-		ce = &ctxEntry{fmms: make(map[fmmKey]*fmmEntry)}
-		entry := ce
-		ce.node = &memoNode{drop: func(e *Engine) { e.dropCtxLocked(key, entry) }}
-		e.ctxs[key] = ce
-		e.misses++
-	} else {
-		e.hits++
-		e.touchLocked(ce.node)
-	}
-	ce.node.pins++
-	e.mu.Unlock()
-	// analyze's releaseCtx defer is only registered once this returns;
-	// a panic inside the computation (recovered into engine poisoning by
-	// analyzeOnce) must not strand the query pin taken above.
-	defer func() {
-		if r := recover(); r != nil {
-			e.releaseCtx(ce)
-			panic(r)
-		}
-	}()
-	ce.once.Do(func() {
-		ce.ic = e.class(icfg, false) // pins the classification until ctx eviction
+	ev := ArtifactEvent{Artifact: ArtifactWCET, Cache: icfg, Data: key.hasData}
+	return get(e, qctx, &e.ctxs, key, pinQuery, ev, func() (wcetCtx, int64, error) {
+		w := wcetCtx{key: key, ic: e.class(qctx, icfg, false)}
+		var da *absint.Analyzer
+		var dbase []chmc.Class
 		if key.hasData {
-			ce.dc = e.class(key.dcfg, true)
+			w.dc = e.class(qctx, key.dcfg, true)
+			da, dbase = w.dc.val.a, w.dc.val.base
 		}
 		// The clone starts from the pristine phase-1 basis, exactly like
 		// a fresh NewSystem; the WCET solve below pivots only this
 		// clone, so it is the context's sole warm-up — afterwards the
 		// system is only ever read (ComputeFMM workers clone from it).
-		ce.sys = e.pristine.Clone()
-		var da *absint.Analyzer
-		var dbase []chmc.Class
-		if ce.dc != nil {
-			da, dbase = ce.dc.a, ce.dc.base
-		}
+		w.sys = e.pristine.Clone()
 		if qctx.Done() != nil {
 			// Abandon the WCET solve between pivot batches when the
 			// creating query's context dies; cleared below so the warm
 			// system never retains a dead query's probe.
-			ce.sys.SetCancel(qctx.Err)
+			w.sys.SetCancel(qctx.Err)
 		}
-		ce.wcet, ce.err = ipet.WCETCombined(ce.sys, ce.ic.a, ce.ic.base, da, dbase)
-		ce.sys.SetCancel(nil)
-		e.mu.Lock()
-		if ce.err != nil {
-			// The sticky error entry stays for dedup, but it is never
-			// charged or evicted, so it must not pin its classifications.
-			// Cancellation is not a property of the key: drop the entry so
-			// the next query recomputes instead of seeing a dead context's
-			// error forever.
-			e.unpinClassesLocked(ce)
-			if isCancelErr(ce.err) && e.ctxs[key] == ce {
-				delete(e.ctxs, key)
-			}
-		} else {
-			cost := ce.sys.WarmMemBytes() + int64(cap(ce.wcet.BlockCounts))*8
-			e.chargeLocked(ce.node, cost)
+		wcet, err := ipet.WCETCombined(w.sys, w.ic.val.a, w.ic.val.base, da, dbase)
+		w.sys.SetCancel(nil)
+		if err != nil {
+			// A failed context is never charged or evicted, so it must
+			// not keep its classifications pinned.
+			e.mu.Lock()
+			w.unpinClasses()
+			e.mu.Unlock()
+			return wcetCtx{}, 0, err
 		}
-		e.mu.Unlock()
-		if ce.err == nil {
-			e.emit(ArtifactEvent{Artifact: ArtifactWCET, Cache: icfg, Data: key.hasData})
-		}
+		w.wcet = wcet
+		return w, w.sys.WarmMemBytes() + int64(cap(wcet.BlockCounts))*8, nil
 	})
-	if ce.err != nil {
-		e.releaseCtx(ce)
-		return nil, ce.err
-	}
-	return ce, nil
 }
 
-// releaseCtx drops a query's pin on its context and enforces the byte
-// budget now that the query's working set is no longer pinned.
-func (e *Engine) releaseCtx(ctx *ctxEntry) {
-	e.mu.Lock()
-	ctx.node.pins--
-	e.evictLocked()
-	e.mu.Unlock()
-}
-
-// unpinClassesLocked releases the context's pins on its classification
-// entries (on context eviction, or when construction failed).
-func (e *Engine) unpinClassesLocked(ctx *ctxEntry) {
-	if ctx.ic != nil {
-		ctx.ic.node.pins--
-		ctx.ic.node.depPins--
+// fmmArtifact returns one FMM artifact of the context w, computing it
+// on first use. The caller holds its query pin on the context, which
+// keeps the context's system and classifications resident while the
+// artifact is computed; the artifact itself is evicted by the LRU alone.
+func (e *Engine) fmmArtifact(qctx context.Context, w wcetCtx, kind fmmKind, data bool) (ipet.FMM, error) {
+	cl := w.class(data)
+	opt := ipet.FMMOptions{Workers: e.workers, OnlyWholeSetColumn: kind != fmmCore}
+	ev := ArtifactEvent{Artifact: ArtifactFMMColumn, Cache: cl.a.Config(), Data: data}
+	switch kind {
+	case fmmCore:
+		// MechanismRW never reaches the f = W column, so its FMM is
+		// exactly the mechanism-independent f < W columns.
+		opt.Mechanism = cache.MechanismRW
+		ev.Artifact, ev.Mechanism = ArtifactFMMCore, cache.MechanismRW
+	case fmmNoneColumn:
+		opt.Mechanism, ev.Mechanism = cache.MechanismNone, cache.MechanismNone
+	case fmmSRBColumn:
+		opt.Mechanism, ev.Mechanism = cache.MechanismSRB, cache.MechanismSRB
+	case fmmPreciseColumn:
+		// The precise column classifies per set (ClassifySRBForSet);
+		// the SRB guaranteed-hit vector is not consulted.
+		opt.Mechanism, opt.PreciseSRB = cache.MechanismSRB, true
+		ev.Mechanism, ev.Precise = cache.MechanismSRB, true
 	}
-	if ctx.dc != nil {
-		ctx.dc.node.pins--
-		ctx.dc.node.depPins--
-	}
-}
-
-// dropCtxLocked is the context node's drop callback: it removes the
-// context from the memo map, settles its resident FMM artifacts and
-// releases the classification pins.
-func (e *Engine) dropCtxLocked(key ctxKey, ctx *ctxEntry) {
-	delete(e.ctxs, key)
-	e.unpinClassesLocked(ctx)
-	for _, fe := range ctx.fmmList {
-		if fe.node.linked {
-			e.evictNodeLocked(fe.node)
+	return valueOf(get(e, qctx, &e.fmms, fmmKey{ctx: w.key, kind: kind, data: data}, pinNone, ev, func() (ipet.FMM, int64, error) {
+		if kind == fmmSRBColumn {
+			opt.SRBHit = e.srb(qctx, cl, data)
 		}
-	}
-	if ctx.hbe != nil && ctx.hbe.node.linked {
-		e.evictNodeLocked(ctx.hbe.node)
-	}
-}
-
-// fmmArtifact returns one memoized FMM artifact of the context. The
-// caller must hold a pin on the context (analyze does, for the whole
-// query), which keeps the context — though not necessarily this FMM
-// entry — resident while the artifact is computed and read. Like
-// context, a cancellation error drops the entry and a live caller
-// retries; genuine solver errors stay sticky.
-func (e *Engine) fmmArtifact(qctx context.Context, ce *ctxEntry, key fmmKey) (ipet.FMM, error) {
-	for {
-		fmm, err := e.fmmArtifactOnce(qctx, ce, key)
-		if err == nil || !isCancelErr(err) || qctx.Err() != nil {
-			return fmm, err
-		}
-	}
-}
-
-func (e *Engine) fmmArtifactOnce(qctx context.Context, ce *ctxEntry, key fmmKey) (ipet.FMM, error) {
-	e.mu.Lock()
-	entry := ce.fmms[key]
-	if entry == nil {
-		entry = &fmmEntry{key: key}
-		entry.node = &memoNode{drop: func(e *Engine) { delete(ce.fmms, key) }}
-		ce.fmms[key] = entry
-		// Compact evicted entries out of the list mirror so evict/
-		// recompute churn on a long-lived context cannot grow it without
-		// bound (at most one live entry per fmmKey survives).
-		live := ce.fmmList[:0]
-		for _, fe := range ce.fmmList {
-			if ce.fmms[fe.key] == fe {
-				live = append(live, fe)
-			}
-		}
-		ce.fmmList = append(live, entry)
-		e.misses++
-	} else {
-		e.hits++
-		e.touchLocked(entry.node)
-	}
-	e.mu.Unlock()
-	entry.once.Do(func() {
-		c := ce.ic
-		if key.data {
-			c = ce.dc
-		}
-		opt := ipet.FMMOptions{Workers: e.workers}
 		if qctx.Done() != nil {
 			opt.Ctx = qctx // per-set and pivot-batch cancellation checks
 		}
-		ev := ArtifactEvent{Cache: c.a.Config(), Data: key.data}
-		switch key.kind {
-		case fmmCore:
-			// MechanismRW never reaches the f = W column, so its FMM is
-			// exactly the mechanism-independent f < W columns.
-			opt.Mechanism = cache.MechanismRW
-			ev.Artifact, ev.Mechanism = ArtifactFMMCore, cache.MechanismRW
-		case fmmNoneColumn:
-			opt.Mechanism = cache.MechanismNone
-			opt.OnlyWholeSetColumn = true
-			ev.Artifact, ev.Mechanism = ArtifactFMMColumn, cache.MechanismNone
-		case fmmSRBColumn:
-			opt.Mechanism = cache.MechanismSRB
-			opt.SRBHit = e.srb(c, key.data)
-			opt.OnlyWholeSetColumn = true
-			ev.Artifact, ev.Mechanism = ArtifactFMMColumn, cache.MechanismSRB
-		case fmmPreciseColumn:
-			// The precise column classifies per set (ClassifySRBForSet);
-			// the SRB guaranteed-hit vector is not consulted.
-			opt.Mechanism = cache.MechanismSRB
-			opt.PreciseSRB = true
-			opt.OnlyWholeSetColumn = true
-			ev.Artifact, ev.Mechanism, ev.Precise = ArtifactFMMColumn, cache.MechanismSRB, true
-		}
-		entry.fmm, entry.err = ipet.ComputeFMM(ce.sys, c.a, c.base, opt)
-		switch {
-		case entry.err == nil:
-			e.mu.Lock()
-			e.chargeLocked(entry.node, entry.fmm.MemBytes())
-			e.mu.Unlock()
-			e.emit(ev)
-		case isCancelErr(entry.err):
-			// Never charged; drop so the next query recomputes instead of
-			// inheriting this query's cancellation. The stale pointer left
-			// in fmmList is filtered by the ce.fmms[fe.key] == fe guards.
-			e.mu.Lock()
-			if ce.fmms[key] == entry {
-				delete(ce.fmms, key)
-			}
-			e.mu.Unlock()
-		}
-	})
-	return entry.fmm, entry.err
+		fmm, err := ipet.ComputeFMM(w.sys, cl.a, cl.base, opt)
+		return fmm, fmm.MemBytes(), err
+	}))
 }
 
-// hitBounds returns the context's memoized transient hit-bound vector,
-// solving the per-set ILPs on first use. The caller must hold a pin on
-// the context (analyze does); the vector itself is never mutated after
-// construction, so returning the memoized slice directly is safe even
-// across a later eviction. Cancellation errors drop the entry and a
-// live caller retries, exactly like fmmArtifact.
-func (e *Engine) hitBounds(qctx context.Context, ce *ctxEntry) (ipet.HitBounds, error) {
-	for {
-		hb, err := e.hitBoundsOnce(qctx, ce)
-		if err == nil || !isCancelErr(err) || qctx.Err() != nil {
-			return hb, err
-		}
-	}
-}
-
-func (e *Engine) hitBoundsOnce(qctx context.Context, ce *ctxEntry) (ipet.HitBounds, error) {
-	e.mu.Lock()
-	entry := ce.hbe
-	if entry == nil {
-		entry = &hbEntry{}
-		entry.node = &memoNode{drop: func(e *Engine) { ce.hbe = nil }}
-		ce.hbe = entry
-		e.misses++
-	} else {
-		e.hits++
-		e.touchLocked(entry.node)
-	}
-	e.mu.Unlock()
-	entry.once.Do(func() {
-		c := ce.ic
+// hitBounds returns the transient hit-bound vector of the context w,
+// solving the per-set ILPs on first use. Like fmmArtifact, the caller
+// holds its query pin on the context. The vector is never mutated after
+// construction, so returning the memoized slice is safe even across a
+// later eviction.
+func (e *Engine) hitBounds(qctx context.Context, w wcetCtx) (ipet.HitBounds, error) {
+	cl := w.class(false)
+	ev := ArtifactEvent{Artifact: ArtifactTransientBound, Cache: cl.a.Config()}
+	return valueOf(get(e, qctx, &e.hbs, w.key, pinNone, ev, func() (ipet.HitBounds, int64, error) {
 		opt := ipet.HitBoundOptions{Workers: e.workers}
 		if qctx.Done() != nil {
 			opt.Ctx = qctx
 		}
-		entry.hb, entry.err = ipet.ComputeHitBounds(ce.sys, c.a, c.base, opt)
-		switch {
-		case entry.err == nil:
-			e.mu.Lock()
-			e.chargeLocked(entry.node, entry.hb.MemBytes())
-			e.mu.Unlock()
-			e.emit(ArtifactEvent{Artifact: ArtifactTransientBound, Cache: c.a.Config()})
-		case isCancelErr(entry.err):
-			e.mu.Lock()
-			if ce.hbe == entry {
-				ce.hbe = nil
-			}
-			e.mu.Unlock()
-		}
-	})
-	return entry.hb, entry.err
+		hb, err := ipet.ComputeHitBounds(w.sys, cl.a, cl.base, opt)
+		return hb, hb.MemBytes(), err
+	}))
 }
 
 // fmmFor splices the requested mechanism's fault miss map from the
 // memoized artifacts: the shared f < W columns plus the mechanism's
 // f = W column. The returned FMM is a fresh copy the caller owns.
-func (e *Engine) fmmFor(qctx context.Context, ctx *ctxEntry, data bool, mech cache.Mechanism, precise bool) (ipet.FMM, error) {
-	core, err := e.fmmArtifact(qctx, ctx, fmmKey{kind: fmmCore, data: data})
+func (e *Engine) fmmFor(qctx context.Context, w wcetCtx, data bool, mech cache.Mechanism, precise bool) (ipet.FMM, error) {
+	core, err := e.fmmArtifact(qctx, w, fmmCore, data)
 	if err != nil {
 		return nil, err
 	}
 	var column ipet.FMM
 	switch {
 	case precise:
-		column, err = e.fmmArtifact(qctx, ctx, fmmKey{kind: fmmPreciseColumn, data: data})
+		column, err = e.fmmArtifact(qctx, w, fmmPreciseColumn, data)
 	case mech == cache.MechanismNone:
-		column, err = e.fmmArtifact(qctx, ctx, fmmKey{kind: fmmNoneColumn, data: data})
+		column, err = e.fmmArtifact(qctx, w, fmmNoneColumn, data)
 	case mech == cache.MechanismSRB:
-		column, err = e.fmmArtifact(qctx, ctx, fmmKey{kind: fmmSRBColumn, data: data})
+		column, err = e.fmmArtifact(qctx, w, fmmSRBColumn, data)
 	}
 	if err != nil {
 		return nil, err
 	}
 	fmm := cloneFMM(core)
 	if column != nil {
-		c := ctx.ic
-		if data {
-			c = ctx.dc
-		}
-		ways := c.a.Config().Ways
+		ways := w.class(data).a.Config().Ways
 		for s := range fmm {
 			fmm[s][ways] = column[s][ways]
 		}
@@ -933,7 +716,7 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 	}
 	opt, kind := pl.opt, pl.scn.Kind()
 
-	ce, err := e.context(qctx, opt.Cache, opt.DataCache)
+	cc, err := e.context(qctx, opt.Cache, opt.DataCache)
 	if err != nil {
 		return nil, err
 	}
@@ -942,7 +725,8 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 	// against the unpinned remainder now and fully on release. The defer
 	// also runs when the analysis panics (the recover above fires after
 	// it), so even a poisoning query leaves no pinned bytes behind.
-	defer e.releaseCtx(ce)
+	defer e.release(&cc.node, pinQuery)
+	ce := cc.val
 	var fmm ipet.FMM
 	if kind != fault.KindTransient {
 		fmm, err = e.fmmFor(qctx, ce, false, opt.Mechanism, false)

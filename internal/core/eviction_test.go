@@ -85,6 +85,7 @@ func TestEngineEvictionByteIdentical(t *testing.T) {
 	if !recomputed {
 		t.Errorf("no artifact was recomputed across rounds under eviction: %v", h.snapshot())
 	}
+	requireAccounting(t, bounded)
 }
 
 // TestEngineEvictionUnderConcurrentBatch churns a tiny budget under a
@@ -116,6 +117,7 @@ func TestEngineEvictionUnderConcurrentBatch(t *testing.T) {
 				requireDeepEqualResult(t, fmt.Sprintf("budget %d round %d query %d", budget, round, i), ref[i], got[i])
 			}
 		}
+		requireAccounting(t, bounded)
 	}
 }
 
@@ -179,6 +181,7 @@ func TestEngineBoundedResidencyAcrossGeometries(t *testing.T) {
 	if after.Hits <= ms.Hits {
 		t.Errorf("re-query of the resident geometry produced no memo hits: %+v -> %+v", ms, after)
 	}
+	requireAccounting(t, e)
 }
 
 // TestEngineMemStatsAccounting sanity-checks the unbounded engine's
@@ -210,4 +213,5 @@ func TestEngineMemStatsAccounting(t *testing.T) {
 	if second.Evictions != 0 || second.EvictedBytes != 0 {
 		t.Errorf("unbounded engine evicted: %+v", second)
 	}
+	requireAccounting(t, e)
 }

@@ -7,11 +7,14 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/fault"
 	"repro/internal/faultpoint"
 	"repro/internal/lp"
 )
@@ -97,6 +100,7 @@ func TestInjectedAnalyzePanicPoisons(t *testing.T) {
 	if _, err := eng.Analyze(Query{Pfail: 1e-4}); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("poisoned engine answered: %v", err)
 	}
+	requireAccounting(t, eng)
 }
 
 // TestInjectedForceEvictByteIdentity: the core memoization contract
@@ -139,6 +143,7 @@ func TestInjectedForceEvictByteIdentity(t *testing.T) {
 	if ms := chaos.MemStats(); ms.Evictions == 0 {
 		t.Error("force-evict fault never evicted anything")
 	}
+	requireAccounting(t, chaos)
 }
 
 // TestInjectedSlowSolveDegrades is the acceptance scenario: a fault
@@ -164,6 +169,77 @@ func TestInjectedSlowSolveDegrades(t *testing.T) {
 	if res.PWCET <= 0 {
 		t.Fatalf("degraded result carries implausible pWCET %d", res.PWCET)
 	}
+}
+
+// TestInjectedCanceledHitBoundsRecompute: a transient query canceled
+// while its hit bounds are being solved leaves no cancellation behind.
+// A slow solver widens the window; the timeout grows until an attempt
+// dies inside the hit-bound solve — it looked the bounds up (a miss) and
+// never finished them (no event). The same query on a live context must
+// then match a fresh engine. Its own deadline bounds the engine's
+// retries, so a canceled cell left in its table fails the test instead
+// of hanging it.
+func TestInjectedCanceledHitBoundsRecompute(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	p := buildLoop(t)
+	var bounds atomic.Int32
+	eng, err := NewEngine(p, EngineOptions{Hook: func(ev ArtifactEvent) {
+		if ev.Artifact == ArtifactTransientBound {
+			bounds.Add(1)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm the classification and the WCET context, so that the hit
+	// bounds are the transient query's only miss.
+	if _, err := eng.Analyze(Query{Pfail: 1e-4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultpoint.Enable(faultpoint.SiteSlowSolve, "sleep:2ms"); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Scenario: fault.Transient{Lambda: 1e-9}}
+	for timeout := 500 * time.Microsecond; ; timeout *= 2 {
+		if bounds.Load() != 0 || timeout > 10*time.Second {
+			t.Fatalf("no attempt was canceled inside the hit-bound solve (last timeout %v, %d bound events)", timeout/2, bounds.Load())
+		}
+		before := eng.MemStats().Misses
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		_, err := eng.AnalyzeContext(ctx, q)
+		cancel()
+		if !isCancelErr(err) {
+			t.Fatalf("transient query under a %v timeout = %v, want a cancellation", timeout, err)
+		}
+		if eng.MemStats().Misses > before && bounds.Load() == 0 {
+			break
+		}
+	}
+	faultpoint.Disable(faultpoint.SiteSlowSolve)
+	requireAccounting(t, eng)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, err := eng.AnalyzeContext(ctx, q)
+	if err != nil {
+		t.Fatalf("transient query after the canceled solve: %v", err)
+	}
+	fresh, err := NewEngine(p, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Analyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "after a canceled hit-bound solve", want, got)
+	if n := bounds.Load(); n != 1 {
+		t.Errorf("hit bounds computed %d times, want 1", n)
+	}
+	if ms := eng.MemStats(); ms.PinnedBytes != 0 {
+		t.Errorf("pins left: %+v", ms)
+	}
+	requireAccounting(t, eng)
 }
 
 func TestInjectedPivotLimit(t *testing.T) {

@@ -1,29 +1,42 @@
 package core
 
 // This file implements the Engine's bounded artifact memory
-// (EngineOptions.MaxArtifactBytes). Every memoized artifact class —
-// classification fixpoints, warm IPET contexts, per-context FMM
-// columns — carries an estimated byte cost (the MemBytes estimators of
-// internal/absint, internal/ipet and internal/lp) and an intrusive LRU
-// node. When the estimated resident total exceeds the budget, least-
-// recently-used unpinned artifacts are evicted: removed from their memo
-// map so the next query that needs them recomputes them from scratch.
+// (EngineOptions.MaxArtifactBytes). Every cell of the five memo tables
+// (see memo.go and engine.go) — classification fixpoints, SRB
+// guaranteed-hit vectors, warm IPET contexts, FMM artifacts and
+// transient hit bounds — carries an estimated byte cost (the MemBytes
+// estimators of internal/absint, internal/ipet and internal/lp) and an
+// intrusive LRU node. When the estimated resident total exceeds the
+// budget, least-recently-used unpinned artifacts are evicted: removed
+// from their table so the next query that needs them recomputes them
+// from scratch.
 //
 // Eviction is behavior-invariant by construction: every artifact is an
 // immutable pure function of its key, so evict → recompute yields
-// byte-identical data, and an in-flight query that still holds a
-// pointer to an evicted entry keeps reading valid immutable state. The
-// eviction tests assert both properties with the Hook counters (the
-// recomputation fires the hook again) and full-result DeepEqual.
+// byte-identical data, and an in-flight query that still holds an
+// evicted value keeps reading valid immutable state. The eviction tests
+// assert both properties with the Hook counters (the recomputation
+// fires the hook again) and full-result DeepEqual. Two policy points
+// follow from treating every artifact alike, and neither can change a
+// result — under a byte budget they only decide which artifacts get
+// recomputed:
+//
+//  1. Each artifact is evicted by the LRU alone. Evicting a WCET context
+//     does not evict the FMM artifacts and hit bounds computed from it:
+//     they are keyed by the context's key, not owned by the context, and
+//     a later context with that key finds them still resident.
+//  2. The SRB guaranteed-hit vector is an artifact of its own, keyed like
+//     its classification: it has its own LRU node and byte cost, and
+//     MemStats counts it and its lookups like any other artifact.
 //
 // Pinning keeps the accounting honest across the artifact dependency
-// edges: a resident WCET context pins the classification entries it
-// references (they cannot be evicted out from under it, which would
-// leave resident-but-unaccounted memory), and every in-flight query
-// pins its context for the duration of the analysis. The pinned
-// working set of one query is therefore the hard floor of the budget:
-// MaxArtifactBytes below that floor still yields correct results, with
-// everything evicted between queries.
+// edges: a resident WCET context pins the classifications it references
+// (they cannot be evicted out from under it, which would leave
+// resident-but-unaccounted memory), and every in-flight query pins its
+// context for the duration of the analysis. The pinned working set of
+// one query is therefore the hard floor of the budget: MaxArtifactBytes
+// below that floor still yields correct results, with everything
+// evicted between queries.
 
 import "repro/internal/faultpoint"
 
@@ -41,10 +54,42 @@ type memoNode struct {
 	linked  bool
 	prev    *memoNode
 	next    *memoNode
-	// drop removes the artifact from its owner map and releases its
+	// drop removes the artifact from its memo table and releases its
 	// dependency pins. Called with Engine.mu held, after the node has
 	// been unlinked and its cost subtracted.
-	drop func(e *Engine)
+	drop func()
+}
+
+// pin takes one hold of kind k on the node.
+func (n *memoNode) pin(k pinKind) {
+	if k != pinNone {
+		n.pins++
+	}
+	if k == pinDep {
+		n.depPins++
+	}
+}
+
+// unpin drops one hold of kind k; the caller enforces the budget.
+func (n *memoNode) unpin(k pinKind) {
+	if k != pinNone {
+		n.pins--
+	}
+	if k == pinDep {
+		n.depPins--
+	}
+}
+
+// release drops one hold of kind k and enforces the budget, which the
+// hold may have been keeping the node out of.
+func (e *Engine) release(n *memoNode, k pinKind) {
+	if k == pinNone {
+		return
+	}
+	e.mu.Lock()
+	n.unpin(k)
+	e.evictLocked()
+	e.mu.Unlock()
 }
 
 // MemStats is a snapshot of the engine's artifact-memory accounting.
@@ -169,40 +214,26 @@ func (e *Engine) chargeLocked(n *memoNode, delta int64) {
 }
 
 // evictNodeLocked unlinks one node and settles its accounting, then
-// runs its drop callback (owner-map removal, dependency unpinning).
+// runs its drop callback (table removal, dependency unpinning).
 func (e *Engine) evictNodeLocked(n *memoNode) {
 	e.unlinkLocked(n)
 	e.resident -= n.cost
 	e.evictions++
 	e.evictedBytes += n.cost
-	n.drop(e)
+	n.drop()
 }
 
 // evictLocked evicts least-recently-used unpinned artifacts until the
 // resident estimate fits the budget (or only pinned artifacts remain —
 // the working set of in-flight queries is never evicted).
 func (e *Engine) evictLocked() {
-	if faultpoint.Enabled && faultpoint.Fires(faultpoint.SiteForceEvict) {
-		// Chaos injection: evict every unpinned artifact regardless of
-		// the budget. Behavior-invariant by the same argument as regular
-		// eviction — pinned working sets survive, everything else
-		// recomputes byte-identically — which is exactly what the soak
-		// harness asserts under this fault.
-		for {
-			victim := e.lruTail
-			for victim != nil && victim.pins > 0 {
-				victim = victim.prev
-			}
-			if victim == nil {
-				break
-			}
-			e.evictNodeLocked(victim)
-		}
-	}
-	if e.maxBytes <= 0 {
-		return
-	}
-	for e.resident > e.maxBytes {
+	// Chaos injection: evict every unpinned artifact regardless of the
+	// budget. Behavior-invariant by the same argument as regular
+	// eviction — pinned working sets survive, everything else recomputes
+	// byte-identically — which is exactly what the soak harness asserts
+	// under this fault.
+	force := faultpoint.Enabled && faultpoint.Fires(faultpoint.SiteForceEvict)
+	for force || (e.maxBytes > 0 && e.resident > e.maxBytes) {
 		victim := e.lruTail
 		for victim != nil && victim.pins > 0 {
 			victim = victim.prev

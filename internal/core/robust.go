@@ -2,8 +2,8 @@ package core
 
 // Robustness helpers of the Engine: the panic boundary that poisons an
 // engine whose internal memo state can no longer be trusted, and the
-// cancellation-error classifier shared by the memoized-artifact retry
-// loops (see engine.go).
+// cancellation-error classifier that settles the memo tables' errors
+// (see get in memo.go).
 
 import (
 	"context"

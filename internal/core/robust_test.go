@@ -79,6 +79,7 @@ func TestCancellationPromptAndLeakFree(t *testing.T) {
 		if ms := eng.MemStats(); ms.PinnedBytes != 0 || ms.PinnedArtifacts != 0 {
 			t.Errorf("workers=%d: canceled batch left pins behind: %+v", workers, ms)
 		}
+		requireAccounting(t, eng)
 
 		// The engine must still be fully usable: a clean run afterwards
 		// matches a fresh engine byte for byte (cancellation never
@@ -248,6 +249,40 @@ func TestPanicPoisonsEngine(t *testing.T) {
 	if ms.PinnedBytes != 0 || ms.PinnedArtifacts != 0 {
 		t.Errorf("poisoning query stranded pins: %+v", ms)
 	}
+	requireAccounting(t, eng)
+}
+
+// TestPanicAfterContextLinkedReleasesPin: a Hook that panics on the
+// WCET event fires after the context has been charged and linked into
+// the LRU while the query's pin on it is held. The query poisons the
+// engine, and the panic path must still release that pin.
+func TestPanicAfterContextLinkedReleasesPin(t *testing.T) {
+	p := buildLoop(t)
+	eng, err := NewEngine(p, EngineOptions{
+		Hook: func(ev ArtifactEvent) {
+			if ev.Artifact == ArtifactWCET {
+				panic("injected WCET hook panic")
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *PanicError
+	if _, err := eng.Analyze(Query{Pfail: 1e-4}); !errors.As(err, &pe) {
+		t.Fatalf("Analyze = %v, want *PanicError", err)
+	}
+	if !eng.Poisoned() {
+		t.Fatal("engine not poisoned after a panicking query")
+	}
+	ms := eng.MemStats()
+	if ms.Artifacts != 2 {
+		t.Fatalf("%d artifacts resident, want the classification and the linked context", ms.Artifacts)
+	}
+	if ms.PinnedBytes != 0 || ms.PinnedArtifacts != 0 {
+		t.Errorf("the panic stranded the query's pin on its context: %+v", ms)
+	}
+	requireAccounting(t, eng)
 }
 
 // TestCycleOverflowIsAnError: a memory latency so large that a cycle
@@ -335,6 +370,7 @@ func TestBatchCancellationAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d round=%d: pins left: %+v", workers, round, ms)
 			}
 		}
+		requireAccounting(t, eng)
 		// Afterwards the engine still answers cleanly.
 		if _, err := eng.Analyze(queries[0]); err != nil {
 			t.Fatalf("workers=%d: engine unusable after cancel rounds: %v", workers, err)

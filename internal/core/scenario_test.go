@@ -318,6 +318,7 @@ func TestEngineTransientEvictionByteIdentical(t *testing.T) {
 	if n := h.snapshot()["transient-bound/sets=16,ways=4/data=false"]; n < 2 {
 		t.Errorf("transient-bound computed %d times under eviction, want >= 2", n)
 	}
+	requireAccounting(t, bounded)
 }
 
 // TestScenarioOptionErrors pins the option-validation surface of the
