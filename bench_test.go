@@ -143,13 +143,35 @@ func BenchmarkIPETWCET(b *testing.B) {
 }
 
 // BenchmarkFMM profiles the full fault-miss-map computation (S*W warm
-// ILP solves plus per-set reclassification) on adpcm. Workers is
+// ILP solves plus one classification fixpoint per set) on adpcm. Workers is
 // pinned to 1 so ns/op and allocs/op are independent of the runner's
 // core count — the committed baseline must gate on any machine;
 // BenchmarkComputeFMMWorkers covers the parallel scaling.
 func BenchmarkFMM(b *testing.B) {
 	p := malardalen.MustGet("adpcm")
 	cfg := cache.PaperConfig()
+	a := absint.New(p, cfg)
+	classes := a.ClassifyAll()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys, err := ipet.NewSystem(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ipet.ComputeFMM(sys, a, classes, ipet.FMMOptions{Mechanism: cache.MechanismNone, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFMM8Way is BenchmarkFMM on a 64-set 8-way cache, where each
+// set's seven degraded columns read one shared fixpoint
+// (Analyzer.ClassifySetByAssocInto) instead of running seven. Workers
+// is pinned to 1 like BenchmarkFMM.
+func BenchmarkFMM8Way(b *testing.B) {
+	p := malardalen.MustGet("adpcm")
+	cfg := cache.PaperConfig()
+	cfg.Sets, cfg.Ways = 64, 8
 	a := absint.New(p, cfg)
 	classes := a.ClassifyAll()
 	b.ResetTimer()

@@ -9,9 +9,11 @@ import (
 // Analyzer runs the cache analyses of one program against one cache
 // configuration. It precomputes the reference lists, a reverse
 // post-order of the CFG and a per-set reference index (see index.go);
-// individual sets can then be (re-)classified at arbitrary effective
-// associativities, which the Fault Miss Map uses to model sets with f
-// faulty ways. An Analyzer is safe for concurrent use.
+// individual sets can then be classified at any effective
+// associativity, which the Fault Miss Map uses to model sets with f
+// faulty ways. On the compact domain one fixpoint per set serves every
+// associativity up to Ways (ClassifySetByAssocInto). An Analyzer is
+// safe for concurrent use.
 //
 // The classification fixpoints run on the compact per-set domain of
 // domain_compact.go by default. NewReference/NewDataReference retain
@@ -96,12 +98,9 @@ func (a *Analyzer) Program() *program.Program { return a.p }
 // ClassifyAll classifies every reference at full associativity (the
 // fault-free cache). The result is indexed by Ref.Global.
 func (a *Analyzer) ClassifyAll() []chmc.Class {
-	out := make([]chmc.Class, len(a.all))
-	for i := range out {
-		out[i] = chmc.NotClassified
-	}
+	out := notClassified(len(a.all))
 	for s := 0; s < a.cfg.Sets; s++ {
-		a.classifySetInto(out, s, a.cfg.Ways)
+		a.classifySet(atAssoc(out, a.cfg.Ways), s)
 	}
 	return out
 }
@@ -111,92 +110,135 @@ func (a *Analyzer) ClassifyAll() []chmc.Class {
 // references of other sets are NotClassified and must be ignored by the
 // caller. assoc == 0 yields AlwaysMiss for every reference of the set.
 func (a *Analyzer) ClassifySet(set, assoc int) []chmc.Class {
-	out := make([]chmc.Class, len(a.all))
-	for i := range out {
-		out[i] = chmc.NotClassified
-	}
-	a.classifySetInto(out, set, assoc)
+	out := notClassified(len(a.all))
+	a.classifySet(atAssoc(out, assoc), set)
 	return out
 }
 
 // ClassifySetInto is ClassifySet writing into a caller-provided buffer
 // of len(Refs()) entries: every entry belonging to a reference of the
 // set is (re)written — NotClassified included — while entries of other
-// sets are left untouched. Reusing one buffer across the W fault
-// counts of a set (and across sets) is what keeps the FMM's S*W
-// reclassifications allocation-free; the caller must only ever read
-// the entries of the set it just classified.
+// sets are left untouched, so one buffer can be reused across sets; the
+// caller must only ever read the entries of the set it just classified.
+// A caller that needs one set at several associativities should use
+// ClassifySetByAssocInto, which runs the set's fixpoint once for all.
 func (a *Analyzer) ClassifySetInto(out []chmc.Class, set, assoc int) {
-	for _, r := range a.sets[set].refs {
-		out[r.Global] = chmc.NotClassified
-	}
-	a.classifySetInto(out, set, assoc)
+	a.ClassifySetByAssocInto(atAssoc(out, assoc), set)
 }
 
-// classifySetInto dispatches one set's classification to the compact
-// hot path or the retained reference domain. Both write the refs of the
-// set that sit in entry-reachable blocks; callers prefill the rest.
-func (a *Analyzer) classifySetInto(out []chmc.Class, set, assoc int) {
+// ClassifySetByAssocInto classifies one set at several effective
+// associativities at once: every non-nil byAssoc[A] receives the set's
+// classification at associativity A, with ClassifySetInto's contract
+// for each buffer. The compact domain runs the set's fixpoint once, at
+// max(Ways, len(byAssoc)-1), and reads every A off the same states
+// (classifyCompact explains why that is exact); the Fault Miss Map
+// classifies each set at W-1, ..., 1 with one call.
+func (a *Analyzer) ClassifySetByAssocInto(byAssoc [][]chmc.Class, set int) {
+	for _, out := range byAssoc {
+		if out != nil {
+			for _, r := range a.sets[set].refs {
+				out[r.Global] = chmc.NotClassified
+			}
+		}
+	}
+	a.classifySet(byAssoc, set)
+}
+
+// notClassified returns n NotClassified entries.
+func notClassified(n int) []chmc.Class {
+	out := make([]chmc.Class, n)
+	for i := range out {
+		out[i] = chmc.NotClassified
+	}
+	return out
+}
+
+// atAssoc is the byAssoc request of a single buffer at one
+// associativity; an associativity below 0 classifies like 0.
+func atAssoc(out []chmc.Class, assoc int) [][]chmc.Class {
+	byAssoc := make([][]chmc.Class, max(assoc, 0)+1)
+	byAssoc[len(byAssoc)-1] = out
+	return byAssoc
+}
+
+// classifySet dispatches one set's classification to the compact hot
+// path or the retained reference domain, which runs one fixpoint per
+// requested associativity. Both write the refs of the set that sit in
+// entry-reachable blocks; callers prefill the rest.
+func (a *Analyzer) classifySet(byAssoc [][]chmc.Class, set int) {
 	if a.ref {
-		a.classifySetIntoReference(out, set, assoc)
-		return
-	}
-	a.classifySetIntoCompact(out, set, assoc)
-}
-
-// classifySetIntoCompact runs the per-set fixpoint and classification
-// sweep on the compact domain over the set's local block universe.
-func (a *Analyzer) classifySetIntoCompact(out []chmc.Class, set, assoc int) {
-	ix := &a.sets[set]
-	if len(ix.refs) == 0 {
-		return
-	}
-	if assoc <= 0 {
-		for _, r := range ix.refs {
-			out[r.Global] = chmc.AlwaysMiss
+		for assoc, out := range byAssoc {
+			if out != nil {
+				a.classifySetIntoReference(out, set, assoc)
+			}
 		}
 		return
 	}
+	a.classifySetIntoCompact(byAssoc, set)
+}
 
-	outStates := a.fixpointCompact(ix, assoc)
+// classifySetIntoCompact runs the set's fixpoint once on the compact
+// domain, at max(Ways, len(byAssoc)-1), and a classification sweep that
+// writes every requested associativity from the same IN states.
+func (a *Analyzer) classifySetIntoCompact(byAssoc [][]chmc.Class, set int) {
+	ix := &a.sets[set]
+	if len(ix.refs) == 0 || len(byAssoc) == 0 {
+		return
+	}
+	if out := byAssoc[0]; out != nil {
+		// No usable ways: nothing is ever cached.
+		for _, r := range ix.refs {
+			out[r.Global] = chmc.AlwaysMiss
+		}
+	}
+	lo := 1
+	for lo < len(byAssoc) && byAssoc[lo] == nil {
+		lo++
+	}
+	if lo == len(byAssoc) {
+		return
+	}
+	assoc := max(a.cfg.Ways, len(byAssoc)-1)
+	sc := scratchPoolCompact.Get().(*scratchCompact)
+	defer scratchPoolCompact.Put(sc)
+	sc.reset(len(a.p.Blocks), len(ix.blocks), ix.words)
+	a.fixpointCompact(sc, ix, assoc)
 
 	// Classification sweep: only blocks holding references of this set
 	// matter, and the groups list them in reverse post-order already.
 	for gi := range ix.groups {
 		g := &ix.groups[gi]
-		in := a.inStateCompact(outStates, int(g.bb), assoc, ix)
-		if !in.reached {
-			// Unreachable code never executes; AlwaysMiss is the
-			// conservative (and irrelevant) classification.
-			for _, lr := range g.refs {
-				out[lr.global] = chmc.AlwaysMiss
-			}
-			ix.pool.Put(in)
-			continue
-		}
+		in := a.inStateCompact(sc, int(g.bb), assoc)
 		for _, lr := range g.refs {
-			out[lr.global] = classifyCompact(in, lr.local, assoc)
-			in.access(lr.local, assoc)
-		}
-		ix.pool.Put(in)
-	}
-	for _, st := range outStates {
-		if st != nil {
-			ix.pool.Put(st)
+			for A := lo; A < len(byAssoc); A++ {
+				out := byAssoc[A]
+				switch {
+				case out == nil:
+				case !in.reached:
+					// Unreachable code never executes; AlwaysMiss is
+					// the conservative (and irrelevant) classification.
+					out[lr.global] = chmc.AlwaysMiss
+				default:
+					out[lr.global] = classifyCompact(in, lr.local, A)
+				}
+			}
+			if in.reached {
+				in.access(lr.local, assoc)
+			}
 		}
 	}
 }
 
 // fixpointCompact iterates the three analyses for one set to a fixpoint
-// on the compact domain and returns the OUT state of every block. The
-// caller owns the returned states (they come from the set's pool).
-func (a *Analyzer) fixpointCompact(ix *setIndex, assoc int) []*cstate {
-	outStates := make([]*cstate, len(a.p.Blocks))
-	for changed := true; changed; {
-		changed = false
+// on the compact domain at associativity assoc, leaving the OUT state
+// of every block in the scratch (unreached for blocks no pass reached).
+func (a *Analyzer) fixpointCompact(sc *scratchCompact, ix *setIndex, assoc int) {
+	for pass := 0; ; pass++ {
+		// The first pass computes every block for the first time.
+		changed := pass == 0
 		gi := 0
 		for pos, bb := range a.rpo {
-			st := a.inStateCompact(outStates, bb, assoc, ix)
+			st := a.inStateCompact(sc, bb, assoc)
 			var g *refGroup
 			for gi < len(ix.groups) && int(ix.groups[gi].rpoPos) < pos {
 				gi++
@@ -210,32 +252,29 @@ func (a *Analyzer) fixpointCompact(ix *setIndex, assoc int) []*cstate {
 					st.access(lr.local, assoc)
 				}
 			}
-			if outStates[bb] == nil || !outStates[bb].equal(st) {
-				if outStates[bb] != nil {
-					ix.pool.Put(outStates[bb])
-				}
-				outStates[bb] = st
+			if !sc.states[sc.out[bb]].equal(st) {
+				sc.out[bb], sc.in = sc.in, sc.out[bb]
 				changed = true
-			} else {
-				ix.pool.Put(st)
 			}
 		}
+		if !changed {
+			return
+		}
 	}
-	return outStates
 }
 
-// inStateCompact joins the predecessors' OUT states into a pooled state
-// (the entry block starts from the reached empty cache).
-func (a *Analyzer) inStateCompact(outStates []*cstate, bb, assoc int, ix *setIndex) *cstate {
-	in := ix.pool.Get().(*cstate)
-	in.reset()
+// inStateCompact joins the predecessors' OUT states into the scratch's
+// IN state and returns it (the entry block starts from the reached
+// empty cache).
+func (a *Analyzer) inStateCompact(sc *scratchCompact, bb, assoc int) *cstate {
+	in := &sc.states[sc.in]
+	in.reached = false
 	if bb == a.p.Entry {
+		in.reset()
 		in.reached = true
 	}
 	for _, pr := range a.p.Blocks[bb].Preds {
-		if o := outStates[pr]; o != nil {
-			in.join(o, assoc)
-		}
+		in.join(&sc.states[sc.out[pr]], assoc)
 	}
 	return in
 }

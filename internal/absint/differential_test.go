@@ -13,19 +13,25 @@ import (
 )
 
 // diffConfigs are the cache geometries the compact domain is pitted
-// against the reference on: the paper's 16-set cache and a 256-set
-// geometry where per-set universes get sparse (many empty sets).
+// against the reference on: the paper's 16-set cache, a 256-set
+// geometry where per-set universes get sparse (many empty sets), and a
+// 64-set 8-way cache, where one fixpoint at W = 8 serves seven degraded
+// associativities.
 func diffConfigs() []cache.Config {
 	return []cache.Config{
 		cache.PaperConfig(),
 		{Sets: 256, Ways: 4, BlockBytes: 16, HitLatency: 1, MemLatency: 100},
 		{Sets: 4, Ways: 2, BlockBytes: 8, HitLatency: 1, MemLatency: 10},
+		{Sets: 64, Ways: 8, BlockBytes: 16, HitLatency: 1, MemLatency: 100},
 	}
 }
 
 // assertSameClassification compares the compact and reference
 // classifications of one program/config across full classification,
-// every per-set degraded associativity, and the reused-buffer path.
+// every per-set effective associativity from 0 to Ways+1 (one above
+// Ways makes the compact path iterate above the configuration), and
+// the shared-fixpoint path that classifies every associativity of a
+// set in one call.
 func assertSameClassification(t *testing.T, name string, p *program.Program, cfg cache.Config) {
 	t.Helper()
 	fast := New(p, cfg)
@@ -52,12 +58,21 @@ func assertSameClassification(t *testing.T, name string, p *program.Program, cfg
 		if want != len(refs) {
 			t.Fatalf("%s/%v: RefsOfSet(%d) has %d refs, want %d", name, cfg, set, len(refs), want)
 		}
-		for assoc := 0; assoc <= cfg.Ways; assoc++ {
+		byAssoc := make([][]chmc.Class, cfg.Ways+2)
+		for assoc := range byAssoc {
+			byAssoc[assoc] = make([]chmc.Class, len(fast.Refs()))
+		}
+		fast.ClassifySetByAssocInto(byAssoc, set)
+		for assoc := 0; assoc <= cfg.Ways+1; assoc++ {
 			fc, rc := fast.ClassifySet(set, assoc), ref.ClassifySet(set, assoc)
 			for _, r := range refs {
 				if fc[r.Global] != rc[r.Global] {
 					t.Fatalf("%s/%v: set %d assoc %d ref %d: %v vs reference %v",
 						name, cfg, set, assoc, r.Global, fc[r.Global], rc[r.Global])
+				}
+				if b := byAssoc[assoc][r.Global]; b != rc[r.Global] {
+					t.Fatalf("%s/%v: set %d assoc %d ref %d: shared fixpoint %v vs reference %v",
+						name, cfg, set, assoc, r.Global, b, rc[r.Global])
 				}
 			}
 		}
@@ -86,7 +101,7 @@ func TestCompactDomainMatchesReferenceRandom(t *testing.T) {
 		p := progen.Random(rng, progen.DefaultParams())
 		cfg := cache.Config{
 			Sets:       []int{2, 4, 8, 16}[rng.Intn(4)],
-			Ways:       1 + rng.Intn(4),
+			Ways:       1 + rng.Intn(8),
 			BlockBytes: []int{8, 16}[rng.Intn(2)],
 			HitLatency: 1,
 			MemLatency: 10,

@@ -15,6 +15,7 @@ package absint
 
 import (
 	"math/bits"
+	"sync"
 
 	"repro/internal/chmc"
 )
@@ -29,7 +30,11 @@ import (
 // persSize[b] distinct blocks recorded in row b of the persBits bitset.
 // Bits of absent or saturated rows are meaningless (rows are cleared on
 // (re)insertion), mirroring the nil blocks map of a saturated
-// youngerSet.
+// youngerSet. The arrays of an unreached state are never read: join
+// copies a reached state over them, equal compares unreached states by
+// reachedness alone, and access and classifyCompact only run on reached
+// states. Clearing reached therefore resets a state to the lattice
+// bottom.
 type cstate struct {
 	reached  bool
 	must     []int16
@@ -41,21 +46,8 @@ type cstate struct {
 	words    int
 }
 
-func newCstate(nblocks, words int) *cstate {
-	s := &cstate{
-		must:     make([]int16, nblocks),
-		may:      make([]int16, nblocks),
-		persIn:   make([]bool, nblocks),
-		persSat:  make([]bool, nblocks),
-		persSize: make([]int16, nblocks),
-		persBits: make([]uint64, nblocks*words),
-		words:    words,
-	}
-	s.reset()
-	return s
-}
-
-// reset restores the unreached empty state (the lattice bottom).
+// reset empties every array and marks the state unreached; setting
+// reached then yields the empty cache the entry block starts from.
 func (s *cstate) reset() {
 	s.reached = false
 	for b := range s.must {
@@ -190,9 +182,8 @@ func (s *cstate) access(m int32, assoc int) {
 	s.persSize[m] = 0
 }
 
-// equal reports exact state equality, like setState.equal. The states
-// kept in a fixpoint are empty while unreached (they are only mutated
-// once reached), so unreached states compare by reachedness alone.
+// equal reports exact state equality, like setState.equal. Unreached
+// states compare by reachedness alone: their arrays are never read.
 func (s *cstate) equal(o *cstate) bool {
 	if s.reached != o.reached {
 		return false
@@ -227,21 +218,118 @@ func (s *cstate) equal(o *cstate) bool {
 	return true
 }
 
-// classifyCompact derives the CHMC of an access to local block m from
-// the pre-state — the compact twin of classify().
+// classifyCompact derives the CHMC of an access to local block m at
+// associativity assoc from a pre-state computed at any associativity
+// W >= assoc. One fixpoint at W therefore classifies a set at every
+// degraded associativity W-f the Fault Miss Map needs.
+//
+// Why it is exact. Let T_A map a state computed at W to associativity
+// A <= W: a must or may age >= A becomes absent, and a persistence
+// entry becomes saturated when it was saturated at W or its younger set
+// holds >= A blocks (below that, the younger sets at W and at A are
+// equal). T_A maps the unreached state to itself, and it commutes with
+// join and access:
+//
+//   - must: a join keeps max(a, b), which is < A exactly when both ages
+//     are; an access to m ages the blocks younger than m's age, and
+//     m's age at A is min(age at W, A), so every age < A ages alike
+//     and an age that reaches A drops out at A as it is truncated from W;
+//   - may: a join keeps min(a, b), which is < A exactly when one age is;
+//     the access ages blocks at most as old as m's age, which again is
+//     min(age at W, A) at A;
+//   - persistence: a union saturates at A when either side is saturated
+//     at A or the united set reaches A blocks, which holds exactly when
+//     T_A saturates the union taken at W; an access adds m to every
+//     unsaturated younger set and resets m's own at both associativities.
+//
+// Each pass of the round-robin fixpoint is built from joins and
+// accesses, so pass by pass the iteration at W truncates to the
+// iteration at A, and a pass that changes nothing at W changes nothing
+// at A: the fixpoint at A is T_A of the fixpoint at W. Reading T_A off
+// the W state gives: AH when the must age is < A; FM when the block was
+// never loaded, or is unsaturated with a younger set of < A blocks; AM
+// when the may age is absent or >= A; NC otherwise. At A = W every age
+// is < W and every unsaturated younger set holds < W blocks, so this is
+// exactly classify() on the fixpoint at W.
 func classifyCompact(st *cstate, m int32, assoc int) chmc.Class {
 	switch {
-	case st.must[m] >= 0:
+	case st.must[m] >= 0 && int(st.must[m]) < assoc:
 		return chmc.AlwaysHit
 	case !st.persIn[m]:
 		// No path has loaded m before this point, so the reference
 		// executes at most once per run: at most one miss.
 		return chmc.FirstMiss
-	case !st.persSat[m]:
+	case !st.persSat[m] && int(st.persSize[m]) < assoc:
 		return chmc.FirstMiss
-	case st.may[m] < 0:
+	case st.may[m] < 0 || int(st.may[m]) >= assoc:
 		return chmc.AlwaysMiss
 	default:
 		return chmc.NotClassified
 	}
+}
+
+// scratchCompact is the working memory of one compact fixpoint call: the
+// OUT state of every CFG block plus one IN state, all over the same set
+// universe and carved from three backing arrays. out[bb] and in index
+// states: the fixpoint builds each block's IN state in place and, when
+// it differs from the block's OUT state, swaps the two indices, so a
+// block visit neither allocates nor copies a state. The classification
+// sweep then reuses the IN state. A call takes one scratch from
+// scratchPoolCompact and returns it when it is done.
+type scratchCompact struct {
+	states []cstate
+	out    []int32  // out[bb] indexes block bb's OUT state
+	in     int32    // indexes the IN state
+	ages   []int16  // must, may and persSize of every state
+	flags  []bool   // persIn and persSat of every state
+	bits   []uint64 // persBits of every state
+	// nblocks and words are the universe the states are carved for.
+	nblocks, words int
+}
+
+var scratchPoolCompact = sync.Pool{New: func() any { return new(scratchCompact) }}
+
+// reset shapes the scratch for nstates OUT states plus the IN state
+// over a universe of nblocks blocks with words-word bitset rows, and
+// marks every state unreached. The states are re-carved only when the
+// shape changes.
+func (sc *scratchCompact) reset(nstates, nblocks, words int) {
+	n := nstates + 1
+	if len(sc.states) != n || sc.nblocks != nblocks || sc.words != words {
+		sc.ages = resizeCompact(sc.ages, 3*n*nblocks)
+		sc.flags = resizeCompact(sc.flags, 2*n*nblocks)
+		sc.bits = resizeCompact(sc.bits, n*nblocks*words)
+		sc.states = resizeCompact(sc.states, n)
+		for i := range sc.states {
+			ages := sc.ages[3*i*nblocks : 3*(i+1)*nblocks]
+			flags := sc.flags[2*i*nblocks : 2*(i+1)*nblocks]
+			sc.states[i] = cstate{
+				must:     ages[:nblocks],
+				may:      ages[nblocks : 2*nblocks],
+				persSize: ages[2*nblocks:],
+				persIn:   flags[:nblocks],
+				persSat:  flags[nblocks:],
+				persBits: sc.bits[i*nblocks*words : (i+1)*nblocks*words],
+				words:    words,
+			}
+		}
+		sc.nblocks, sc.words = nblocks, words
+	}
+	for i := range sc.states {
+		sc.states[i].reached = false
+	}
+	sc.out = resizeCompact(sc.out, nstates)
+	for bb := range sc.out {
+		sc.out[bb] = int32(bb)
+	}
+	sc.in = int32(nstates)
+}
+
+// resizeCompact returns s with length n, reusing its array when it is
+// large enough. The contents are unspecified.
+func resizeCompact[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -2,15 +2,14 @@ package absint
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/program"
 )
 
 // This file builds the per-set reference index the analyzer's hot path
-// runs on. The FMM workload reclassifies and re-weights one cache set
-// at a time, S*W times per analysis; scanning the full reference list
-// and filtering r.Set != set on every pass made that O(sets * ways *
+// runs on. The FMM workload classifies and re-weights one cache set at
+// a time, W times per set; scanning the full reference list and
+// filtering r.Set != set on every pass made that O(sets * ways *
 // totalRefs). The index groups everything per set once at construction:
 //
 //   - refs: the set's references in global order (RefsOfSet — what
@@ -45,7 +44,6 @@ type setIndex struct {
 	blocks []uint32
 	groups []refGroup
 	words  int // uint64 words per younger-set bitset row
-	pool   *sync.Pool
 }
 
 // localOf returns the local id of a block in the set's universe.
@@ -85,11 +83,6 @@ func buildSetIndexes(p *program.Program, sets int, perBB [][]Ref, all []Ref, rpo
 			g := &ix.groups[len(ix.groups)-1]
 			g.refs = append(g.refs, localRef{global: int32(r.Global), local: ix.localOf(r.Block)})
 		}
-	}
-	for s := range ixs {
-		ix := &ixs[s]
-		nblocks, words := len(ix.blocks), ix.words
-		ix.pool = &sync.Pool{New: func() any { return newCstate(nblocks, words) }}
 	}
 	return ixs
 }

@@ -5,11 +5,12 @@ import "unsafe"
 // MemBytes estimates the resident heap bytes of the analyzer: the
 // reference lists (global and per-block), the reverse post-order and
 // the per-set index (per-set reference copies, block universes and
-// fixpoint sweep groups). Transient fixpoint state parked in the
-// per-set pools is deliberately not counted — it is reclaimable scratch,
-// not part of the memoized artifact. The estimate feeds the engine's
-// LRU eviction budget (core.EngineOptions.MaxArtifactBytes); relative
-// consistency matters, byte exactness does not.
+// fixpoint sweep groups). Fixpoint states are deliberately not
+// counted: a classification call takes them from a package-wide scratch
+// pool and returns them when it is done, so they are reclaimable
+// scratch, not part of the memoized artifact. The estimate feeds the
+// engine's LRU eviction budget (core.EngineOptions.MaxArtifactBytes);
+// relative consistency matters, byte exactness does not.
 func (a *Analyzer) MemBytes() int64 {
 	const (
 		wordBytes        = 8

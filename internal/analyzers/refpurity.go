@@ -28,7 +28,10 @@ type RefPurityRule struct {
 //     its dirty-row bookkeeping;
 //   - absint's map-based reference fixpoint (classifySetIntoReference,
 //     fixpoint, inState, classify and the setState/youngerSet domain)
-//     must not call the compact array/bitset path (…Compact, cstate);
+//     must not call the compact array/bitset path: every name ending in
+//     Compact (the per-set entry classifySetIntoCompact, its fixpoint
+//     scratch scratchCompact, the threshold classifier classifyCompact)
+//     and the cstate methods;
 //   - ipet.NewReferenceSystem must not build the optimized NewSystem.
 //
 // The differential suites compare the two sides for byte-identity; a

@@ -244,18 +244,24 @@ func ComputeFMM(sys *System, a *absint.Analyzer, base []chmc.Class, opt FMMOptio
 }
 
 // fmmScratch holds the per-worker buffers of computeFMMRow: the block
-// weights of the ILP objective and the degraded-classification vector,
-// both reused across every (set, fault count) pair the worker handles
-// instead of being reallocated S*W times.
+// weights of the ILP objective, reused across every (set, fault count)
+// pair the worker handles, and deg, where deg[A] receives a set's
+// classification at associativity A for A = 1..max(W, 2)-1 (deg[0]
+// stays nil). One ClassifySetByAssocInto call per set fills every
+// degraded column the row needs from a single fixpoint.
 type fmmScratch struct {
 	weights []float64
-	deg     []chmc.Class
+	deg     [][]chmc.Class
 }
 
 func newFMMScratch(sys *System, a *absint.Analyzer) *fmmScratch {
+	deg := make([][]chmc.Class, max(a.Config().Ways, 2))
+	for assoc := 1; assoc < len(deg); assoc++ {
+		deg[assoc] = make([]chmc.Class, len(a.Refs()))
+	}
 	return &fmmScratch{
 		weights: make([]float64, len(sys.p.Blocks)),
-		deg:     make([]chmc.Class, len(a.Refs())),
+		deg:     deg,
 	}
 }
 
@@ -263,7 +269,8 @@ func newFMMScratch(sys *System, a *absint.Analyzer) *fmmScratch {
 // system ws, first restoring ws to pristine's basis so the row does not
 // depend on what ws solved before. It touches only the set's own
 // references (Analyzer.RefsOfSet) — never the full reference list —
-// and reuses the worker's scratch buffers across fault counts.
+// classifies the set once for all its degraded columns, and reuses the
+// worker's scratch buffers across fault counts.
 func computeFMMRow(ws, pristine *System, a *absint.Analyzer, base []chmc.Class, opt FMMOptions, set int, sc *fmmScratch) ([]int64, error) {
 	if err := ws.resetFrom(pristine); err != nil {
 		return nil, err
@@ -273,6 +280,19 @@ func computeFMMRow(ws, pristine *System, a *absint.Analyzer, base []chmc.Class, 
 	refs := a.RefsOfSet(set)
 	if len(refs) == 0 {
 		return row, nil // the set caches nothing: no reference can suffer
+	}
+	precise := opt.PreciseSRB && opt.Mechanism == cache.MechanismSRB
+	// Column f < W reads the classification at W-f, and the precise SRB
+	// column f = W the private one-way buffer at 1: classify at 1..n-1.
+	n := 0
+	if !opt.OnlyWholeSetColumn {
+		n = cfg.Ways
+	}
+	if precise {
+		n = max(n, 2)
+	}
+	if n > 1 {
+		a.ClassifySetByAssocInto(sc.deg[:n], set)
 	}
 	for f := 1; f <= cfg.Ways; f++ {
 		if f == cfg.Ways && opt.Mechanism == cache.MechanismRW {
@@ -290,12 +310,10 @@ func computeFMMRow(ws, pristine *System, a *absint.Analyzer, base []chmc.Class, 
 		var deg []chmc.Class
 		switch {
 		case f < cfg.Ways:
-			a.ClassifySetInto(sc.deg, set, cfg.Ways-f)
-			deg = sc.deg
-		case opt.PreciseSRB && opt.Mechanism == cache.MechanismSRB:
+			deg = sc.deg[cfg.Ways-f]
+		case precise:
 			// Precise SRB: the buffer is a private 1-way cache.
-			a.ClassifySetInto(sc.deg, set, 1)
-			deg = sc.deg
+			deg = sc.deg[1]
 		}
 		for _, r := range refs {
 			var pe, pc int64
