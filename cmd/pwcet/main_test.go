@@ -511,6 +511,44 @@ func TestBatchTargetsGolden(t *testing.T) {
 	}
 }
 
+// TestCLIGolden pins the stdout bytes of the -all summary (permanent,
+// combined, and exact-convolve under a binding keep-heaviest cap) and
+// of the single-benchmark JSON report, with and without the curve.
+func TestCLIGolden(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"all", []string{"-all"}},
+		{"all-combined", []string{"-all", "-fault-model", "combined", "-pfail", "1e-4", "-lambda", "1e-10"}},
+		{"all-exact-keep-heaviest", []string{"-all", "-exact-convolve", "-coarsen", "keep-heaviest", "-pfail", "1e-3"}},
+		{"adpcm-json", []string{"-bench", "adpcm", "-mech", "all", "-json"}},
+		{"bs-json-curve", []string{"-bench", "bs", "-mech", "all", "-json", "-curve"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, stdout, stderr := runCmd(t, tc.args...)
+			if code != 0 {
+				t.Fatalf("%v: exit %d: %s", tc.args, code, stderr)
+			}
+			if stdout == string(want) {
+				return
+			}
+			g, w := strings.Split(stdout, "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(g) && i < len(w); i++ {
+				if g[i] != w[i] {
+					t.Fatalf("%v: line %d differs from the golden\n got: %s\nwant: %s", tc.args, i+1, g[i], w[i])
+				}
+			}
+			t.Fatalf("%v: %d lines, golden has %d", tc.args, len(g), len(w))
+		})
+	}
+}
+
 // TestExactConvolve: the -exact-convolve escape hatch and the spec's
 // exact_convolve field run the exact convolution fold; without a
 // binding support cap its pWCETs match the default path (the
