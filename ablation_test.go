@@ -28,11 +28,11 @@ func BenchmarkAblationPreciseSRB(b *testing.B) {
 	p := malardalen.MustGet("fibcall")
 	var cons9, prec9, cons15, prec15 int64
 	for i := 0; i < b.N; i++ {
-		c, err := pwcet.Analyze(p, pwcet.Options{Pfail: 1e-4, Mechanism: pwcet.SRB})
+		c, err := pwcet.Analyze(p, pwcet.Query{Pfail: 1e-4, Mechanism: pwcet.SRB})
 		if err != nil {
 			b.Fatal(err)
 		}
-		pr, err := pwcet.Analyze(p, pwcet.Options{Pfail: 1e-4, Mechanism: pwcet.SRB, PreciseSRB: true})
+		pr, err := pwcet.Analyze(p, pwcet.Query{Pfail: 1e-4, Mechanism: pwcet.SRB, PreciseSRB: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,15 +89,15 @@ func BenchmarkAblationCoarsening(b *testing.B) {
 	p := malardalen.MustGet("adpcm")
 	var exact, coarse, tiny int64
 	for i := 0; i < b.N; i++ {
-		e, err := pwcet.Analyze(p, pwcet.Options{Pfail: 1e-4, MaxSupport: 1 << 20})
+		e, err := pwcet.Analyze(p, pwcet.Query{Pfail: 1e-4, MaxSupport: 1 << 20})
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := pwcet.Analyze(p, pwcet.Options{Pfail: 1e-4}) // default 4096
+		c, err := pwcet.Analyze(p, pwcet.Query{Pfail: 1e-4}) // default 4096
 		if err != nil {
 			b.Fatal(err)
 		}
-		ty, err := pwcet.Analyze(p, pwcet.Options{Pfail: 1e-4, MaxSupport: 32})
+		ty, err := pwcet.Analyze(p, pwcet.Query{Pfail: 1e-4, MaxSupport: 32})
 		if err != nil {
 			b.Fatal(err)
 		}

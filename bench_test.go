@@ -60,7 +60,7 @@ func BenchmarkFig3(b *testing.B) {
 	p := malardalen.MustGet("adpcm")
 	var none, rw, srb *core.Result
 	for i := 0; i < b.N; i++ {
-		results, err := pwcet.AnalyzeAll(p, pwcet.Options{Pfail: 1e-4})
+		results, err := pwcet.AnalyzeAll(p, pwcet.Query{Pfail: 1e-4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func BenchmarkFig4(b *testing.B) {
 		minRW, minSRB = 1, 1
 		for _, name := range names {
 			p := malardalen.MustGet(name)
-			results, err := pwcet.AnalyzeAll(p, pwcet.Options{Pfail: 1e-4})
+			results, err := pwcet.AnalyzeAll(p, pwcet.Query{Pfail: 1e-4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -291,13 +291,23 @@ func BenchmarkAnalyzeWorkers(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opt := pwcet.Options{Pfail: 1e-4, Mechanism: pwcet.None, Workers: workers}
-				if _, err := pwcet.Analyze(p, opt); err != nil {
+				if _, err := analyzeFresh(p, workers, pwcet.Query{Pfail: 1e-4, Mechanism: pwcet.None}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// analyzeFresh runs one query on a throwaway engine with the given
+// worker bound: the work of one pwcet.Analyze call, but with the
+// parallelism pinned instead of GOMAXPROCS.
+func analyzeFresh(p *pwcet.Program, workers int, q pwcet.Query) (*pwcet.Result, error) {
+	eng, err := pwcet.NewEngine(p, pwcet.EngineOptions{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	return eng.Analyze(q)
 }
 
 // sweepPfails is the 10-point pfail sweep the session-reuse benchmarks
@@ -312,7 +322,7 @@ func BenchmarkPfailSweepOneShot(b *testing.B) {
 	p := malardalen.MustGet("adpcm")
 	for i := 0; i < b.N; i++ {
 		for _, pf := range sweepPfails {
-			if _, err := pwcet.Analyze(p, pwcet.Options{Pfail: pf, Mechanism: pwcet.SRB, Workers: 1}); err != nil {
+			if _, err := analyzeFresh(p, 1, pwcet.Query{Pfail: pf, Mechanism: pwcet.SRB}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -419,7 +429,7 @@ func BenchmarkSimulation(b *testing.B) {
 func BenchmarkAnalyzeSingle(b *testing.B) {
 	p := malardalen.MustGet("matmult")
 	for i := 0; i < b.N; i++ {
-		if _, err := pwcet.Analyze(p, pwcet.Options{Pfail: 1e-4, Mechanism: pwcet.RW}); err != nil {
+		if _, err := pwcet.Analyze(p, pwcet.Query{Pfail: 1e-4, Mechanism: pwcet.RW}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -435,8 +445,7 @@ func BenchmarkAnalyze256(b *testing.B) {
 	cfg := cache.PaperConfig()
 	cfg.Sets = 256
 	for i := 0; i < b.N; i++ {
-		opt := pwcet.Options{Cache: cfg, Pfail: 1e-4, Mechanism: pwcet.None, Workers: 1}
-		if _, err := pwcet.Analyze(p, opt); err != nil {
+		if _, err := analyzeFresh(p, 1, pwcet.Query{Cache: cfg, Pfail: 1e-4, Mechanism: pwcet.None}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -451,8 +460,7 @@ func BenchmarkAnalyzeTransient256(b *testing.B) {
 	cfg := cache.PaperConfig()
 	cfg.Sets = 256
 	for i := 0; i < b.N; i++ {
-		opt := pwcet.Options{Cache: cfg, Scenario: pwcet.Transient{Lambda: 1e-9}, Workers: 1}
-		if _, err := pwcet.Analyze(p, opt); err != nil {
+		if _, err := analyzeFresh(p, 1, pwcet.Query{Cache: cfg, Scenario: pwcet.Transient{Lambda: 1e-9}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -467,12 +475,8 @@ func BenchmarkAnalyzeCombined256(b *testing.B) {
 	cfg := cache.PaperConfig()
 	cfg.Sets = 256
 	for i := 0; i < b.N; i++ {
-		opt := pwcet.Options{
-			Cache:    cfg,
-			Scenario: pwcet.Combined{Pfail: 1e-4, Lambda: 1e-9},
-			Workers:  1,
-		}
-		if _, err := pwcet.Analyze(p, opt); err != nil {
+		q := pwcet.Query{Cache: cfg, Scenario: pwcet.Combined{Pfail: 1e-4, Lambda: 1e-9}}
+		if _, err := analyzeFresh(p, 1, q); err != nil {
 			b.Fatal(err)
 		}
 	}

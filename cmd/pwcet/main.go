@@ -111,20 +111,23 @@ type config struct {
 	memprofile string
 }
 
-// scenario returns the explicit fault scenario of the command line, or
-// nil for the permanent model — the legacy Pfail spelling, which keeps
-// permanent runs byte-identical to the pre-scenario CLI.
-func (c *config) scenario() pwcet.Scenario {
+// query returns the analysis configuration of the command line, shared
+// by -bench and -all; both set the mechanism per query. The permanent
+// model keeps the legacy Pfail spelling, which keeps permanent runs
+// byte-identical to the pre-scenario CLI.
+func (c *config) query() pwcet.Query {
+	q := pwcet.Query{TargetExceedance: c.target, Coarsen: c.coarsen, SoftDeadline: c.softDL}
 	switch c.faultModel {
 	case pwcet.ScenarioPermanent:
-		return nil
+		q.Pfail = c.pfail
 	case pwcet.ScenarioTransient:
-		return pwcet.Transient{Lambda: c.lambda}
+		q.Scenario = pwcet.Transient{Lambda: c.lambda}
 	case pwcet.ScenarioCombined:
-		return pwcet.Combined{Pfail: c.pfail, Lambda: c.lambda}
+		q.Scenario = pwcet.Combined{Pfail: c.pfail, Lambda: c.lambda}
 	default:
 		panic(fmt.Sprintf("pwcet: unhandled fault model %v", c.faultModel))
 	}
+	return q
 }
 
 // parseFlags parses and validates the command line. It returns a usage
@@ -248,9 +251,14 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 			return nil, usage("-json requires -bench or -batch")
 		}
 		if explicit["soft-deadline"] && (c.list || c.all) {
-			// AnalyzeAll's one-shot Options have no per-query degraded
-			// mode; silently dropping the flag would mislead.
+			// The summary tables have no column for degraded results;
+			// silently dropping the flag would mislead.
 			return nil, usage("-soft-deadline requires -bench or -batch")
+		}
+		if explicit["mech"] && c.all {
+			// -all analyzes every mechanism; silently dropping the flag
+			// would mislead.
+			return nil, usage("-mech cannot be combined with -all (it analyzes every mechanism)")
 		}
 		if c.ndjson && c.batch == "" {
 			return nil, usage("-ndjson requires -batch")
@@ -425,19 +433,8 @@ func analyzeBench(stdout io.Writer, c *config) error {
 	}
 	queries := make([]pwcet.Query, len(c.mechs))
 	for i, m := range c.mechs {
-		q := pwcet.Query{
-			Mechanism:        m,
-			TargetExceedance: c.target,
-			Coarsen:          c.coarsen,
-			PreciseSRB:       c.precise && m == pwcet.SRB,
-			SoftDeadline:     c.softDL,
-		}
-		if scn := c.scenario(); scn != nil {
-			q.Scenario = scn
-		} else {
-			q.Pfail = c.pfail
-		}
-		queries[i] = q
+		queries[i] = c.query()
+		queries[i].Mechanism, queries[i].PreciseSRB = m, c.precise && m == pwcet.SRB
 	}
 	batch, err := eng.AnalyzeBatch(queries)
 	if err != nil {
@@ -456,8 +453,8 @@ func analyzeBench(stdout io.Writer, c *config) error {
 	fmt.Fprintf(stdout, "benchmark %s: %d bytes of code, %d basic blocks, %d loops\n",
 		c.bench, p.CodeBytes(), len(p.Blocks), len(p.Loops))
 	fmt.Fprintf(stdout, "cache: %dB, %d sets x %d ways x %dB lines; pfail=%g (pbf=%.4g); target=%g\n",
-		first.Options.Cache.SizeBytes(), first.Options.Cache.Sets, first.Options.Cache.Ways,
-		first.Options.Cache.BlockBytes, first.Model.Pfail, first.Model.PBF, c.target)
+		first.Query.Cache.SizeBytes(), first.Query.Cache.Sets, first.Query.Cache.Ways,
+		first.Query.Cache.BlockBytes, first.Model.Pfail, first.Model.PBF, c.target)
 	if c.faultModel != pwcet.ScenarioPermanent {
 		fmt.Fprintf(stdout, "fault model: %s; lambda=%g upsets/line/cycle (window=%d cycles, per-access p=%.4g)\n",
 			first.Scenario, c.lambda, first.Transient.Window, first.Transient.PMiss)
@@ -476,7 +473,7 @@ func analyzeBench(stdout io.Writer, c *config) error {
 	tw.Flush()
 
 	if c.classes {
-		printClasses(stdout, p, first.Options.Cache)
+		printClasses(stdout, p, first.Query.Cache)
 	}
 
 	for _, m := range c.mechs {
@@ -516,7 +513,7 @@ func writeBenchJSON(stdout io.Writer, c *config, results map[pwcet.Mechanism]*co
 	first := results[c.mechs[0]]
 	rep := benchJSON{
 		Benchmark:     c.bench,
-		Cache:         batchspec.FromConfig(first.Options.Cache),
+		Cache:         batchspec.FromConfig(first.Query.Cache),
 		Pfail:         first.Model.Pfail,
 		PBF:           first.Model.PBF,
 		Target:        c.target,
@@ -628,18 +625,10 @@ func runBatch(stdout io.Writer, c *config) error {
 func analyzeAll(stdout io.Writer, c *config) error {
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "benchmark\tcode B\tfault-free\tnone\tsrb\trw\tgain srb\tgain rw\t")
+	eo := core.EngineOptions{Workers: c.workers, ExactConvolve: c.exact}
 	for _, name := range pwcet.Benchmarks() {
 		p := malardalen.MustGet(name)
-		opt := pwcet.Options{
-			TargetExceedance: c.target, Workers: c.workers,
-			Coarsen: c.coarsen, ExactConvolve: c.exact,
-		}
-		if scn := c.scenario(); scn != nil {
-			opt.Scenario = scn
-		} else {
-			opt.Pfail = c.pfail
-		}
-		results, err := pwcet.AnalyzeAll(p, opt)
+		results, err := core.AnalyzeAll(p, eo, c.query())
 		if err != nil {
 			return err
 		}

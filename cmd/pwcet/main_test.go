@@ -62,6 +62,7 @@ func TestInvalidFlagsExitWithUsage(t *testing.T) {
 		{"negative soft-deadline", []string{"-bench", "bs", "-soft-deadline", "-1s"}, "negative"},
 		{"soft-deadline plus list", []string{"-list", "-soft-deadline", "1s"}, "requires -bench or -batch"},
 		{"soft-deadline plus all", []string{"-all", "-soft-deadline", "1s"}, "requires -bench or -batch"},
+		{"all plus mech", []string{"-all", "-mech", "rw"}, "-mech cannot be combined with -all"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -258,7 +259,7 @@ func TestBatchSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solo, err := pwcet.Analyze(p, pwcet.Options{
+		solo, err := pwcet.Analyze(p, pwcet.Query{
 			Pfail: r.Pfail, Mechanism: m, TargetExceedance: r.Target,
 		})
 		if err != nil {
@@ -337,7 +338,7 @@ func TestBatchCustomCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := pwcet.Analyze(p, pwcet.Options{
+	solo, err := pwcet.Analyze(p, pwcet.Query{
 		Cache: pwcet.CacheConfig{Sets: 8, Ways: 2, BlockBytes: 8, HitLatency: 1, MemLatency: 10},
 		Pfail: 1e-3,
 	})
@@ -399,7 +400,7 @@ func TestBatchCoarsenStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := pwcet.Analyze(p, pwcet.Options{
+	solo, err := pwcet.Analyze(p, pwcet.Query{
 		Pfail: 1e-3, MaxSupport: 8, Coarsen: pwcet.CoarsenKeepHeaviest,
 	})
 	if err != nil {
@@ -606,7 +607,11 @@ func TestExactConvolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := pwcet.Analyze(p, pwcet.Options{Pfail: 1e-3, Mechanism: pwcet.SRB, ExactConvolve: true})
+	eng, err := pwcet.NewEngine(p, pwcet.EngineOptions{ExactConvolve: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := eng.Analyze(pwcet.Query{Pfail: 1e-3, Mechanism: pwcet.SRB})
 	if err != nil {
 		t.Fatal(err)
 	}

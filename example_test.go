@@ -16,7 +16,7 @@ func ExampleAnalyze() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := pwcet.Analyze(p, pwcet.Options{Pfail: 1e-4, Mechanism: pwcet.RW})
+	res, err := pwcet.Analyze(p, pwcet.Query{Pfail: 1e-4, Mechanism: pwcet.RW})
 	if err != nil {
 		panic(err)
 	}
@@ -71,7 +71,7 @@ func ExampleAnalyzeAll() {
 	if err != nil {
 		panic(err)
 	}
-	results, err := pwcet.AnalyzeAll(p, pwcet.Options{Pfail: 1e-4})
+	results, err := pwcet.AnalyzeAll(p, pwcet.Query{Pfail: 1e-4})
 	if err != nil {
 		panic(err)
 	}
@@ -100,7 +100,7 @@ func ExampleGain() {
 	if err != nil {
 		panic(err)
 	}
-	results, err := pwcet.AnalyzeAll(p, pwcet.Options{Pfail: 1e-4})
+	results, err := pwcet.AnalyzeAll(p, pwcet.Query{Pfail: 1e-4})
 	if err != nil {
 		panic(err)
 	}

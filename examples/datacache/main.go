@@ -51,11 +51,11 @@ func main() {
 
 	fmt.Printf("IIR kernel: %dB code, I-cache 1KB/4-way, D-cache 512B/2-way, pfail=1e-3\n\n", p.CodeBytes())
 	for _, m := range []pwcet.Mechanism{pwcet.None, pwcet.SRB, pwcet.RW} {
-		instrOnly, err := pwcet.Analyze(p, pwcet.Options{Cache: icache, Pfail: 1e-3, Mechanism: m})
+		instrOnly, err := pwcet.Analyze(p, pwcet.Query{Cache: icache, Pfail: 1e-3, Mechanism: m})
 		if err != nil {
 			log.Fatal(err)
 		}
-		joint, err := pwcet.Analyze(p, pwcet.Options{
+		joint, err := pwcet.Analyze(p, pwcet.Query{
 			Cache: icache, Pfail: 1e-3, Mechanism: m, DataCache: &dcache,
 		})
 		if err != nil {

@@ -50,7 +50,7 @@ func main() {
 	fmt.Println("category analysis (pfail=1e-4, target=1e-15):")
 	fmt.Println()
 	for _, p := range programs {
-		results, err := pwcet.AnalyzeAll(p, pwcet.Options{Pfail: 1e-4})
+		results, err := pwcet.AnalyzeAll(p, pwcet.Query{Pfail: 1e-4})
 		if err != nil {
 			log.Fatal(err)
 		}

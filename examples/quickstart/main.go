@@ -35,7 +35,7 @@ func main() {
 
 	// Analyze with the paper's setup: 1KB 4-way cache with 16-byte
 	// lines, pfail = 1e-4, pWCET read at exceedance 1e-15.
-	results, err := pwcet.AnalyzeAll(p, pwcet.Options{Pfail: 1e-4})
+	results, err := pwcet.AnalyzeAll(p, pwcet.Query{Pfail: 1e-4})
 	if err != nil {
 		log.Fatal(err)
 	}

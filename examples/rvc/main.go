@@ -40,7 +40,7 @@ func main() {
 	// Static bounds where the analysis exists.
 	fmt.Printf("%s, pfail=%g (pbf=%.3g): static pWCET at 1e-15:\n", bench, pfail, model.PBF)
 	for _, m := range []pwcet.Mechanism{pwcet.None, pwcet.SRB, pwcet.RW} {
-		res, err := pwcet.Analyze(p, pwcet.Options{Pfail: pfail, Mechanism: m})
+		res, err := pwcet.Analyze(p, pwcet.Query{Pfail: pfail, Mechanism: m})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func main() {
 	}
 
 	for _, m := range []pwcet.Mechanism{pwcet.None, pwcet.RW, pwcet.SRB} {
-		res, err := pwcet.Analyze(p, pwcet.Options{
+		res, err := pwcet.Analyze(p, pwcet.Query{
 			Pfail:     2e-3, // pbf ~ 22%: most sampled maps contain faults
 			Mechanism: m,
 		})

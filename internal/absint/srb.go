@@ -1,7 +1,5 @@
 package absint
 
-import "repro/internal/chmc"
-
 // SRB analysis (Section III.B.2): a Must analysis of the Shared Reliable
 // Buffer performed "as if the SRB was the only cache in the system".
 // Every reference — whatever set it maps to — may reload the SRB, because
@@ -87,24 +85,4 @@ func (a *Analyzer) srbIn(outStates []srbState, bb int) srbState {
 		st = srbJoin(st, outStates[pr])
 	}
 	return st
-}
-
-// ClassifySRBForSet is the *precise* SRB analysis the paper leaves as
-// future work ("a more precise pWCET estimation technique for the SRB
-// could be devised to limit the conservatism", Section VI): it assumes
-// the given set is the ONLY entirely-faulty set. Under that assumption
-// the SRB is private to the set — references to healthy sets never
-// consult or reload it (Section III.A.2's look-up rule) — so the buffer
-// behaves exactly like a one-way cache receiving the set's references,
-// and the full Must/May/Persistence machinery applies at associativity
-// 1. Compared to the conservative boolean analysis, temporal locality
-// becomes visible: a loop whose only reference in this set is one block
-// keeps it resident in the SRB across iterations (first-miss instead of
-// one miss per iteration).
-//
-// The result is sound only for fault maps with at most one fully faulty
-// set; internal/core combines it with the conservative analysis through
-// a probability-weighted mixture bound.
-func (a *Analyzer) ClassifySRBForSet(set int) []chmc.Class {
-	return a.ClassifySet(set, 1)
 }

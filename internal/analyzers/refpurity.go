@@ -32,7 +32,12 @@ type RefPurityRule struct {
 //     Compact (the per-set entry classifySetIntoCompact, its fixpoint
 //     scratch scratchCompact, the threshold classifier classifyCompact)
 //     and the cstate methods;
-//   - ipet.NewReferenceSystem must not build the optimized NewSystem.
+//   - ipet.NewReferenceSystem must not build the optimized NewSystem;
+//   - core.Analyze, the one-shot oracle the Engine is tested against,
+//     may share the query validation and the distribution stage but
+//     must not reach the Engine's memo and splice layer: NewEngine,
+//     AnalyzeAll (which builds an engine), the memo protocol (get,
+//     getOnce, valueOf) and every Engine method.
 //
 // The differential suites compare the two sides for byte-identity; a
 // reference that secretly calls the code under test would make that
@@ -57,6 +62,11 @@ var DefaultRefPurityRules = []RefPurityRule{
 		PkgPath:   "repro/internal/ipet",
 		Root:      regexp.MustCompile(`^NewReferenceSystem$`),
 		Forbidden: regexp.MustCompile(`^NewSystem$|^lp\.NewSimplex$`),
+	},
+	{
+		PkgPath:   "repro/internal/core",
+		Root:      regexp.MustCompile(`^Analyze$`),
+		Forbidden: regexp.MustCompile(`^(NewEngine|AnalyzeAll|get|getOnce|valueOf|Engine\..*)$`),
 	},
 }
 

@@ -128,17 +128,3 @@ func (s *Sim) AccessAll(addrs []uint32) int64 {
 	}
 	return s.Misses - before
 }
-
-// MissesInSet runs the trace on a fresh copy of the simulator state and
-// is a convenience for per-set accounting in tests; it returns the number
-// of misses among accesses mapping to the given set.
-func (s *Sim) MissesInSet(addrs []uint32, set int) int64 {
-	var n int64
-	for _, a := range addrs {
-		hit := s.Access(a)
-		if s.cfg.SetOf(a) == set && !hit {
-			n++
-		}
-	}
-	return n
-}

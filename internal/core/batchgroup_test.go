@@ -103,7 +103,7 @@ func TestBatchGroupsMatchSoloAnalyze(t *testing.T) {
 			}
 			solo := make([]*Result, len(qs))
 			for i, q := range qs {
-				if solo[i], err = Analyze(tc.p, q.options(workers)); err != nil {
+				if solo[i], err = Analyze(tc.p, EngineOptions{Workers: workers}, q); err != nil {
 					t.Fatalf("%s query %d: %v", label, i, err)
 				}
 				requireDeepEqualResult(t, fmt.Sprintf("%s query %d", label, i), solo[i], batch[i])
@@ -166,7 +166,7 @@ func TestBatchGroupInvalidTargetsFailAlone(t *testing.T) {
 			results, errs := collectBatch(context.Background(), e, qs)
 			for i, q := range qs {
 				label := fmt.Sprintf("targets %v workers=%d query %d", targets, workers, i)
-				solo, soloErr := Analyze(p, q.options(workers))
+				solo, soloErr := Analyze(p, EngineOptions{Workers: workers}, q)
 				if _, engErr := e.Analyze(q); !sameError(engErr, soloErr) {
 					t.Fatalf("%s: engine error %v, one-shot error %v", label, engErr, soloErr)
 				}

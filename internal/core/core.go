@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/absint"
 	"repro/internal/cache"
@@ -41,8 +42,13 @@ const DefaultTargetExceedance = 1e-15
 // convolution; coarsening is conservative (CCDF upper bound).
 const DefaultMaxSupport = 4096
 
-// Options configures one analysis.
-type Options struct {
+// Query is one analysis configuration: the cache geometry, the fault
+// scenario, the reliability mechanism and the exceedance target, plus
+// the support cap of the penalty convolution. The zero value of each
+// field selects its default (paper cache, 1e-15 target, 4096 support
+// cap). Parallelism, instrumentation and the reference escape hatches
+// belong to the session (EngineOptions).
+type Query struct {
 	// Cache is the cache geometry and timing. Zero value = PaperConfig.
 	Cache cache.Config
 	// Pfail is the per-bit permanent failure probability (paper: 1e-4).
@@ -56,14 +62,20 @@ type Options struct {
 	// nil defaults to fault.Permanent{Pfail: Pfail}; setting both
 	// Scenario and a non-zero Pfail is rejected. Transient and
 	// Combined scenarios are not combinable with PreciseSRB or
-	// DataCache.
+	// DataCache. Scenario parameters only shape the per-query
+	// probability weighting: the memoized artifacts they read
+	// (classification, WCET, FMM columns, transient hit bounds) are
+	// scenario-independent, so a lambda or pfail sweep computes each
+	// artifact exactly once.
 	Scenario fault.Scenario
-	// Mechanism selects the reliability hardware. It shapes only the
-	// permanent fault component; a pure Transient scenario yields the
-	// same result for every mechanism.
+	// Mechanism selects the reliability hardware (None, RW, SRB). It
+	// shapes only the permanent fault component; a pure Transient
+	// scenario yields the same result for every mechanism.
 	Mechanism cache.Mechanism
 	// TargetExceedance is the probability at which the pWCET is read
-	// (default 1e-15).
+	// (default 1e-15). It is the only field that does not shape the
+	// penalty distribution: in a batch, queries that differ only in
+	// their targets read their pWCETs off one shared distribution.
 	TargetExceedance float64
 	// MaxSupport caps the convolution support size (default 4096).
 	MaxSupport int
@@ -73,11 +85,15 @@ type Options struct {
 	// the legacy keep-heaviest reduction. Both are sound upper bounds
 	// and byte-identical (the cap is a no-op) whenever the support
 	// never exceeds MaxSupport; they only diverge when the cap binds.
+	// The strategy only shapes the per-query distribution stage, which
+	// is never memoized, so two queries differing only in Coarsen share
+	// every artifact and still never alias each other's distributions
+	// (asserted by TestEngineCoarsenStrategyNoAliasing).
 	Coarsen dist.CoarsenStrategy
-	// PreciseSRB enables the refined SRB analysis of internal/core's
-	// precise.go (the paper's future-work item): per-set private SRB
-	// classification combined with the conservative one through a sound
-	// probability mixture. Only meaningful with MechanismSRB.
+	// PreciseSRB enables the refined SRB analysis of precise.go (the
+	// paper's future-work item): per-set private SRB classification
+	// combined with the conservative one through a sound probability
+	// mixture. Only meaningful with MechanismSRB.
 	PreciseSRB bool
 	// DataCache, when non-nil, additionally analyzes the program's data
 	// accesses (Body.Load/Store) against this data-cache configuration —
@@ -87,57 +103,52 @@ type Options struct {
 	// the two penalty distributions convolve. Not combinable with
 	// PreciseSRB.
 	DataCache *cache.Config
-	// Workers bounds the goroutines used for the per-set stages (the
-	// FMM's ILP solves and the penalty convolution tree), which are
-	// independent across sets. 0 means GOMAXPROCS, 1 is fully
-	// sequential; negative values are rejected. Results are
-	// byte-identical for every worker count — parallelism only changes
-	// wall-clock time, never FMM entries, distributions or pWCETs.
-	Workers int
-	// Reference runs the analysis on the retained reference
-	// implementations of the hot paths: the dense uncompacted simplex
-	// (lp.NewReferenceSimplex) and the map-based abstract cache domain
-	// (absint.NewReference), instead of the compacted sparse simplex
-	// and the indexed compact domain. Results are bit-identical either
-	// way — the differential byte-identity suite asserts it on every
-	// stage (WCET, full FMM, penalty distribution, pWCET curve) — so
-	// the flag exists purely to validate the optimized path, at a
-	// substantial slowdown.
-	Reference bool
-	// ExactConvolve routes every penalty reduction through the retained
-	// reference convolution executor (dist.ConvolveAllExact): the
-	// same canonical order and merge plan as the optimized monoid
-	// engine, but no subtree sharing and no in-tree coarsening — the
-	// convolution analogue of Reference. Byte-identical to the default
-	// whenever no coarsening binds; when the support cap binds hard
-	// (deeply over-cap configurations arm in-tree coarsening), the
-	// default trades a bounded, documented exceedance-area budget for a
-	// large speedup, and this flag recovers the final-coarsen-only
-	// semantics for differential validation.
-	ExactConvolve bool
+	// SoftDeadline, when positive, arms the Engine's degraded mode: if
+	// one attempt of the query does not finish within this duration,
+	// the engine retries with a geometrically tighter MaxSupport cap
+	// (quartering down to a floor of 16 support points) and marks the
+	// result Degraded instead of failing. The final floor attempt runs
+	// without the soft deadline, so a query only fails outright when
+	// the caller's own context expires. Degradation is sound:
+	// coarsening is tail-preserving, so every degraded pWCET
+	// upper-bounds the exact one (see Result.Degraded). Zero disables
+	// the mechanism — queries run to completion at full precision, as
+	// the one-shot Analyze always does.
+	//
+	// SoftDeadline is not part of any memo key: artifacts computed by a
+	// degraded attempt are the same pure functions of their keys as
+	// always, and the per-query distribution stage is never memoized.
+	SoftDeadline time.Duration
 }
 
-func (o Options) withDefaults() Options {
-	if o.Cache == (cache.Config{}) {
-		o.Cache = cache.PaperConfig()
-	}
-	if o.TargetExceedance == 0 {
-		o.TargetExceedance = DefaultTargetExceedance
-	}
-	if o.MaxSupport == 0 {
-		o.MaxSupport = DefaultMaxSupport
-	}
-	return o
+// plan is what a query resolves to before any artifact is touched: the
+// query with its defaults applied, its fault scenario and the fault
+// models derived from it.
+type plan struct {
+	q             Query
+	scn           fault.Scenario
+	model, dmodel fault.Model
 }
 
-// validate checks the option fields shared by Analyze and AnalyzeAll,
-// after defaults have been applied.
-func (o Options) validate() error {
-	if err := o.Cache.Validate(); err != nil {
-		return err
+// resolve applies a query's defaults, validates it and derives its
+// plan. The oracle and the Engine both validate through it, so a query
+// fails with the same error whichever runs it. It computes nothing
+// shared, so a query it rejects fails on its own.
+func resolve(q Query) (plan, error) {
+	if q.Cache == (cache.Config{}) {
+		q.Cache = cache.PaperConfig()
 	}
-	if !(o.TargetExceedance > 0 && o.TargetExceedance < 1) { // NaN fails both comparisons
-		return fmt.Errorf("core: target exceedance %g outside (0,1)", o.TargetExceedance)
+	if q.TargetExceedance == 0 {
+		q.TargetExceedance = DefaultTargetExceedance
+	}
+	if q.MaxSupport == 0 {
+		q.MaxSupport = DefaultMaxSupport
+	}
+	if err := q.Cache.Validate(); err != nil {
+		return plan{}, err
+	}
+	if !(q.TargetExceedance > 0 && q.TargetExceedance < 1) { // NaN fails both comparisons
+		return plan{}, fmt.Errorf("core: target exceedance %g outside (0,1)", q.TargetExceedance)
 	}
 	// MaxSupport feeds dist.CoarsenTo, where values below 2 would
 	// either disable the cap (<= 0, silently unbounded memory) or
@@ -149,45 +160,57 @@ func (o Options) validate() error {
 	// forever unless EngineOptions.MaxArtifactBytes sets a byte budget
 	// (<= 0 keeps the unbounded behavior — see its documentation).
 	// Long-lived processes should set a budget.
-	if o.MaxSupport < 2 {
-		return fmt.Errorf("core: MaxSupport %d: need at least 2 support points (or 0 for the default %d)",
-			o.MaxSupport, DefaultMaxSupport)
+	if q.MaxSupport < 2 {
+		return plan{}, fmt.Errorf("core: MaxSupport %d: need at least 2 support points (or 0 for the default %d)",
+			q.MaxSupport, DefaultMaxSupport)
 	}
-	if err := o.Coarsen.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
+	if err := q.Coarsen.Validate(); err != nil {
+		return plan{}, fmt.Errorf("core: %w", err)
 	}
-	if o.Workers < 0 {
-		return fmt.Errorf("core: Workers %d is negative (0 means GOMAXPROCS)", o.Workers)
+	if q.DataCache != nil && q.PreciseSRB {
+		return plan{}, fmt.Errorf("core: PreciseSRB is not supported together with a data cache")
 	}
-	return nil
-}
-
-// scenario resolves the effective fault scenario: an explicit Scenario
-// wins; a nil Scenario selects the paper's permanent model at the
-// legacy Pfail field, keeping every pre-scenario call site working
-// unchanged. Setting both is rejected so a sweep can never silently
-// mix the two spellings.
-func (o Options) scenario() (fault.Scenario, error) {
-	if o.Scenario == nil {
-		return fault.Permanent{Pfail: o.Pfail}, nil
+	// An explicit Scenario wins; a nil Scenario selects the paper's
+	// permanent model at the legacy Pfail field. Setting both is
+	// rejected so a sweep can never silently mix the two spellings.
+	pl := plan{q: q, scn: q.Scenario}
+	if pl.scn == nil {
+		pl.scn = fault.Permanent{Pfail: q.Pfail}
+	} else if q.Pfail != 0 {
+		return plan{}, fmt.Errorf("core: both Pfail %g and Scenario %v set; use exactly one", q.Pfail, q.Scenario)
+	} else if err := q.Scenario.Validate(); err != nil {
+		return plan{}, fmt.Errorf("core: %w", err)
 	}
-	if o.Pfail != 0 {
-		return nil, fmt.Errorf("core: both Pfail %g and Scenario %v set; use exactly one", o.Pfail, o.Scenario)
+	kind := pl.scn.Kind()
+	if kind != fault.KindPermanent && (q.PreciseSRB || q.DataCache != nil) {
+		return plan{}, fmt.Errorf("core: %v scenario does not support PreciseSRB or DataCache (permanent only)", kind)
 	}
-	if err := o.Scenario.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	pfail, _ := fault.Components(pl.scn)
+	var err error
+	if pl.model, err = fault.NewModel(pfail, q.Cache); err != nil {
+		return plan{}, err
 	}
-	return o.Scenario, nil
+	if q.DataCache != nil {
+		if err := q.DataCache.Validate(); err != nil {
+			return plan{}, fmt.Errorf("core: data cache: %w", err)
+		}
+		if pl.dmodel, err = fault.NewModel(pfail, *q.DataCache); err != nil {
+			return plan{}, err
+		}
+	}
+	return pl, nil
 }
 
 // Result is the outcome of one pWCET analysis.
 type Result struct {
 	// Program is the analyzed program's name.
 	Program string
-	// Options echoes the effective analysis options (defaults resolved).
-	Options Options
+	// Query echoes the analyzed query with its defaults resolved. A
+	// Degraded result echoes the tightened MaxSupport it was built
+	// under.
+	Query Query
 	// Scenario is the resolved fault scenario — never nil: a nil
-	// Options.Scenario resolves to fault.Permanent{Pfail}.
+	// Query.Scenario resolves to fault.Permanent{Pfail}.
 	Scenario fault.Scenario
 	// Model is the derived permanent fault model (pbf from equation 1).
 	// For a pure Transient scenario it is the zero-pfail model.
@@ -226,7 +249,7 @@ type Result struct {
 	HitRefs, FMRefs, MissRefs int
 
 	// FMMPrecise and PenaltyPrecise hold the refined SRB analysis
-	// (Options.PreciseSRB): a fault miss map and penalty distribution
+	// (Query.PreciseSRB): a fault miss map and penalty distribution
 	// that are sound for fault maps with at most one entirely faulty
 	// set. ProbMultiFullSets is P(two or more sets entirely faulty),
 	// the additive term of the mixture bound. All nil/zero unless
@@ -236,130 +259,121 @@ type Result struct {
 	ProbMultiFullSets float64
 
 	// DataModel and DataFMM hold the data-cache analysis when
-	// Options.DataCache was set; the data-cache penalty is already
+	// Query.DataCache was set; the data-cache penalty is already
 	// convolved into Penalty.
 	DataModel fault.Model
 	DataFMM   ipet.FMM
 }
 
-// Analyze runs the full pWCET analysis of one program.
-func Analyze(p *program.Program, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	scn, err := opt.scenario()
+// Analyze is the one-shot oracle: the full pWCET analysis of one
+// program under query q, computed from scratch with no memoization. Its
+// result equals NewEngine(p, eo) followed by Analyze(q), which the
+// differential suites assert, so it is the reference the Engine's memo
+// and splice layer is tested against. It shares with the Engine only
+// the query validation (resolve) and the distribution stage. It has no
+// degraded mode and no memo tables, so it runs every query to
+// completion and ignores eo.Hook and eo.MaxArtifactBytes.
+func Analyze(p *program.Program, eo EngineOptions, q Query) (*Result, error) {
+	sys, err := verifiedSystem(p, eo)
 	if err != nil {
 		return nil, err
 	}
-	kind := scn.Kind()
-	pfail, _ := fault.Components(scn)
-	if kind != fault.KindPermanent && (opt.PreciseSRB || opt.DataCache != nil) {
-		return nil, fmt.Errorf("core: %v scenario does not support PreciseSRB or DataCache (permanent only)", kind)
-	}
-	model, err := fault.NewModel(pfail, opt.Cache)
+	pl, err := resolve(q)
 	if err != nil {
 		return nil, err
 	}
-	// Soundness gate: the loop-bound constraints of IPET are only valid
-	// if the recorded loops are exactly the CFG's natural loops and the
-	// graph is reducible. Verified independently (internal/cfg).
+	q, kind := pl.q, pl.scn.Kind()
+	newAnalyzer, newDataAnalyzer := absint.New, absint.NewData
+	if eo.Reference {
+		newAnalyzer, newDataAnalyzer = absint.NewReference, absint.NewDataReference
+	}
+	a := newAnalyzer(p, q.Cache)
+	base := a.ClassifyAll()
+	var da *absint.Analyzer
+	var dbase []chmc.Class
+	if q.DataCache != nil {
+		da = newDataAnalyzer(p, *q.DataCache)
+		dbase = da.ClassifyAll()
+	}
+	wres, err := ipet.WCETCombined(sys, a, base, da, dbase)
+	if err != nil {
+		return nil, err
+	}
+
+	// fmmOf computes one stream's fault miss map for the query's
+	// mechanism, or its precise-SRB map.
+	fmmOf := func(a *absint.Analyzer, base []chmc.Class, precise bool) (ipet.FMM, error) {
+		fopt := ipet.FMMOptions{Mechanism: q.Mechanism, PreciseSRB: precise, Workers: eo.Workers}
+		if q.Mechanism == cache.MechanismSRB && !precise {
+			fopt.SRBHit = a.ClassifySRB()
+		}
+		return ipet.ComputeFMM(sys, a, base, fopt)
+	}
+	res := &Result{
+		Program:       p.Name,
+		Query:         q,
+		Scenario:      pl.scn,
+		Model:         pl.model,
+		FaultFreeWCET: wres.WCET,
+		HitRefs:       wres.HitRefs,
+		FMRefs:        wres.FMRefs,
+		MissRefs:      wres.MissRefs,
+	}
+	// A pure Transient scenario has no permanent component: the fault
+	// miss map (per-set misses as a function of permanently faulty
+	// ways) is meaningless for it and is skipped entirely.
+	if kind != fault.KindTransient {
+		if res.FMM, err = fmmOf(a, base, false); err != nil {
+			return nil, err
+		}
+	}
+	if kind != fault.KindPermanent {
+		res.HitBounds, err = ipet.ComputeHitBounds(sys, a, base, ipet.HitBoundOptions{Workers: eo.Workers})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if da != nil {
+		res.DataModel = pl.dmodel
+		if res.DataFMM, err = fmmOf(da, dbase, false); err != nil {
+			return nil, err
+		}
+	}
+	if err := res.buildDistributions(eo.Workers, eo.ExactConvolve, nil); err != nil {
+		return nil, err
+	}
+	if q.PreciseSRB && q.Mechanism == cache.MechanismSRB {
+		pfmm, err := fmmOf(a, base, true)
+		if err != nil {
+			return nil, err
+		}
+		if err := res.attachPreciseSRB(pfmm, eo.Workers, eo.ExactConvolve, nil); err != nil {
+			return nil, err
+		}
+	}
+	res.PWCET = res.PWCETAt(q.TargetExceedance)
+	return res, nil
+}
+
+// verifiedSystem checks the session options and the program and builds
+// the program's IPET system, for the Engine and the oracle alike. It is
+// the soundness gate of both: IPET loop-bound constraints are only
+// valid for verified natural loops on a reducible CFG
+// (internal/cfg).
+func verifiedSystem(p *program.Program, eo EngineOptions) (*ipet.System, error) {
+	if eo.Workers < 0 {
+		return nil, fmt.Errorf("core: Workers %d is negative (0 means GOMAXPROCS)", eo.Workers)
+	}
 	if err := cfg.VerifyLoopMetadata(p); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", p.Name, err)
 	}
 	if !cfg.Reducible(p) {
 		return nil, fmt.Errorf("core: %s: irreducible control flow", p.Name)
 	}
-
-	if opt.DataCache != nil && opt.PreciseSRB {
-		return nil, fmt.Errorf("core: PreciseSRB is not supported together with a data cache")
+	if eo.Reference {
+		return ipet.NewReferenceSystem(p)
 	}
-
-	newSystem, newAnalyzer, newDataAnalyzer := ipet.NewSystem, absint.New, absint.NewData
-	if opt.Reference {
-		newSystem, newAnalyzer, newDataAnalyzer = ipet.NewReferenceSystem, absint.NewReference, absint.NewDataReference
-	}
-	sys, err := newSystem(p)
-	if err != nil {
-		return nil, err
-	}
-	a := newAnalyzer(p, opt.Cache)
-	base := a.ClassifyAll()
-
-	var da *absint.Analyzer
-	var dbase []chmc.Class
-	var dmodel fault.Model
-	if opt.DataCache != nil {
-		if err := opt.DataCache.Validate(); err != nil {
-			return nil, fmt.Errorf("core: data cache: %w", err)
-		}
-		dmodel, err = fault.NewModel(pfail, *opt.DataCache)
-		if err != nil {
-			return nil, err
-		}
-		da = newDataAnalyzer(p, *opt.DataCache)
-		dbase = da.ClassifyAll()
-	}
-
-	wres, err := ipet.WCETCombined(sys, a, base, da, dbase)
-	if err != nil {
-		return nil, err
-	}
-
-	// A pure Transient scenario has no permanent component: the fault
-	// miss map (per-set misses as a function of permanently faulty
-	// ways) is meaningless for it and is skipped entirely.
-	var fmm ipet.FMM
-	if kind != fault.KindTransient {
-		fopt := ipet.FMMOptions{Mechanism: opt.Mechanism, Workers: opt.Workers}
-		if opt.Mechanism == cache.MechanismSRB {
-			fopt.SRBHit = a.ClassifySRB()
-		}
-		fmm, err = ipet.ComputeFMM(sys, a, base, fopt)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{
-		Program:       p.Name,
-		Options:       opt,
-		Scenario:      scn,
-		Model:         model,
-		FaultFreeWCET: wres.WCET,
-		FMM:           fmm,
-		HitRefs:       wres.HitRefs,
-		FMRefs:        wres.FMRefs,
-		MissRefs:      wres.MissRefs,
-	}
-	if kind != fault.KindPermanent {
-		res.HitBounds, err = ipet.ComputeHitBounds(sys, a, base, ipet.HitBoundOptions{Workers: opt.Workers})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if da != nil {
-		dfopt := ipet.FMMOptions{Mechanism: opt.Mechanism, Workers: opt.Workers}
-		if opt.Mechanism == cache.MechanismSRB {
-			dfopt.SRBHit = da.ClassifySRB()
-		}
-		dfmm, err := ipet.ComputeFMM(sys, da, dbase, dfopt)
-		if err != nil {
-			return nil, err
-		}
-		res.DataModel = dmodel
-		res.DataFMM = dfmm
-	}
-	if err := res.buildDistributions(opt.Workers); err != nil {
-		return nil, err
-	}
-	if opt.PreciseSRB && opt.Mechanism == cache.MechanismSRB {
-		if err := res.buildPreciseSRB(sys, a, base); err != nil {
-			return nil, err
-		}
-	}
-	res.PWCET = res.PWCETAt(opt.TargetExceedance)
-	return res, nil
+	return ipet.NewSystem(p)
 }
 
 // buildDistributions derives the per-set penalty distributions from the
@@ -367,38 +381,33 @@ func Analyze(p *program.Program, opt Options) (*Result, error) {
 // data cache's, whose fault population is independent) and folds in the
 // transient extra-miss penalty when the scenario has one. It does not
 // depend on the target: the caller reads the pWCET off afterwards with
-// PWCETAt. workers bounds the convolution tree's parallelism (it may
-// differ from Options.Workers when an Engine batch already fans out
-// over its groups of queries); it never changes the result.
+// PWCETAt. workers bounds the convolution tree's parallelism (an Engine
+// batch that already fans out over its groups of queries passes 1); it
+// never changes the result. exact routes every reduction through the
+// reference executor (EngineOptions.ExactConvolve). probe, when
+// non-nil, is the cancellation hook consulted at every merge node of
+// the reduction trees; on its error the stage unwinds with that error,
+// and partial distributions are discarded, never published on the
+// Result.
 //
 // The permanent stage runs exactly the historical code whenever an FMM
 // is present; the transient stage is strictly appended after it, so a
 // permanent-only scenario is byte-identical to the pre-scenario
 // pipeline and Combined(pfail, lambda) convolves the two independent
 // penalty distributions.
-func (r *Result) buildDistributions(workers int) error {
-	return r.buildDistributionsCancel(workers, nil)
-}
-
-// buildDistributionsCancel is buildDistributions with a cancellation
-// probe threaded into the convolution reduction trees (nil disables it
-// at zero cost). The probe is consulted at every merge node; on a
-// non-nil probe error the stage unwinds with that error — partial
-// distributions are discarded, never published on the Result.
-func (r *Result) buildDistributionsCancel(workers int, probe func() error) error {
-	cfg := r.Options.Cache
+func (r *Result) buildDistributions(workers int, exact bool, probe func() error) error {
+	q := r.Query
 	penalty := dist.Degenerate(0)
 	if r.FMM != nil {
 		var err error
-		r.PerSet, penalty, err = convolveFMM(r.FMM, cfg, r.Model, r.Options.Mechanism,
-			penalty, r.Options.MaxSupport, r.Options.Coarsen, workers, r.Options.ExactConvolve, probe)
+		r.PerSet, penalty, err = convolveFMM(r.FMM, q.Cache, r.Model, q.Mechanism,
+			penalty, q.MaxSupport, q.Coarsen, workers, exact, probe)
 		if err != nil {
 			return err
 		}
 		if r.DataFMM != nil {
-			_, penalty, err = convolveFMM(r.DataFMM, *r.Options.DataCache, r.DataModel,
-				r.Options.Mechanism, penalty, r.Options.MaxSupport, r.Options.Coarsen, workers,
-				r.Options.ExactConvolve, probe)
+			_, penalty, err = convolveFMM(r.DataFMM, *q.DataCache, r.DataModel,
+				q.Mechanism, penalty, q.MaxSupport, q.Coarsen, workers, exact, probe)
 			if err != nil {
 				return err
 			}
@@ -412,19 +421,19 @@ func (r *Result) buildDistributionsCancel(workers int, probe func() error) error
 		// transient misses themselves lengthen the run).
 		_, lambda := fault.Components(r.Scenario)
 		window, ok := addCycles(r.FaultFreeWCET, penalty.Max())
-		transient, ok2 := mulCycles(cfg.MissPenalty(), r.HitBounds.Total())
+		transient, ok2 := mulCycles(q.Cache.MissPenalty(), r.HitBounds.Total())
 		window, ok3 := addCycles(window, transient)
 		if !ok || !ok2 || !ok3 {
 			return fmt.Errorf("core: transient window (fault-free WCET %d + penalty %d + %d accesses x %d cycles) overflows int64",
-				r.FaultFreeWCET, penalty.Max(), r.HitBounds.Total(), cfg.MissPenalty())
+				r.FaultFreeWCET, penalty.Max(), r.HitBounds.Total(), q.Cache.MissPenalty())
 		}
 		tm, err := fault.NewTransientModel(lambda, window)
 		if err != nil {
 			return err
 		}
 		r.Transient = tm
-		penalty, err = convolveTransient(penalty, r.HitBounds, cfg, tm,
-			r.Options.MaxSupport, r.Options.Coarsen, workers, r.Options.ExactConvolve, probe)
+		penalty, err = convolveTransient(penalty, r.HitBounds, q.Cache, tm,
+			q.MaxSupport, q.Coarsen, workers, exact, probe)
 		if err != nil {
 			return err
 		}
@@ -491,7 +500,7 @@ func perSetPenalties(fmm ipet.FMM, pwf []float64, cfg cache.Config) ([]*dist.Dis
 
 // convolveSets reduces per-set distributions to the distribution of
 // their sum over workers, or serially by the reference executor when
-// exact (Options.ExactConvolve). probe, when non-nil, is the
+// exact (EngineOptions.ExactConvolve). probe, when non-nil, is the
 // cancellation hook checked at every merge node.
 func convolveSets(perSet []*dist.Dist, maxSupport int, strategy dist.CoarsenStrategy, workers int, exact bool,
 	probe func() error) (*dist.Dist, error) {
@@ -575,7 +584,7 @@ func mulCycles(a, b int64) (int64, bool) {
 // PWCETAt returns the pWCET at an arbitrary exceedance probability,
 // using the mixture bound when the precise SRB analysis is enabled. It
 // is the one read-off rule: Result.PWCET is PWCETAt at the result's own
-// Options.TargetExceedance, for one-shot, engine and batch results alike.
+// Query.TargetExceedance, for one-shot, engine and batch results alike.
 func (r *Result) PWCETAt(p float64) int64 {
 	if r.PenaltyPrecise != nil {
 		return r.FaultFreeWCET + r.mixtureQuantile(p)
@@ -601,31 +610,28 @@ func Gain(baseline, protected *Result) float64 {
 }
 
 // AnalyzeAll runs the analysis for the three architectures of the paper's
-// evaluation as one Engine batch, sharing the expensive common work: the
-// cache analyses, the IPET system (with its warm simplex basis) and the
-// FMM columns for f < W are identical across mechanisms; only the f = W
-// column differs (absent for RW, SRB-filtered for SRB). The results are
-// identical to three independent Analyze calls (asserted by tests) at
-// roughly a third of the cost. Options fields that specialize a single
-// mechanism (PreciseSRB, DataCache) are not supported here — use Analyze.
-func AnalyzeAll(p *program.Program, opt Options) (map[cache.Mechanism]*Result, error) {
-	if opt.PreciseSRB || opt.DataCache != nil {
+// evaluation as one batch of a throwaway Engine, sharing the expensive
+// common work: the cache analyses, the IPET system (with its warm
+// simplex basis) and the FMM columns for f < W are identical across
+// mechanisms; only the f = W column differs (absent for RW,
+// SRB-filtered for SRB). q's Mechanism is ignored; each result is
+// byte-identical to the Engine's Analyze of q under that mechanism
+// (asserted by tests) at roughly a third of the cost. Query fields that
+// specialize a single mechanism (PreciseSRB, DataCache) are not
+// supported here — use Analyze.
+func AnalyzeAll(p *program.Program, eo EngineOptions, q Query) (map[cache.Mechanism]*Result, error) {
+	if q.PreciseSRB || q.DataCache != nil {
 		return nil, fmt.Errorf("core: AnalyzeAll does not support PreciseSRB or DataCache; call Analyze per mechanism")
 	}
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	e, err := NewEngine(p, EngineOptions{Workers: opt.Workers, Reference: opt.Reference, ExactConvolve: opt.ExactConvolve})
+	e, err := NewEngine(p, eo)
 	if err != nil {
 		return nil, err
 	}
 	mechs := []cache.Mechanism{cache.MechanismNone, cache.MechanismRW, cache.MechanismSRB}
 	queries := make([]Query, len(mechs))
 	for i, m := range mechs {
-		q := queryOf(opt)
-		q.Mechanism = m
 		queries[i] = q
+		queries[i].Mechanism = m
 	}
 	results, err := e.AnalyzeBatch(queries)
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 	"repro/internal/program"
 )
 
-func testOptions(mech cache.Mechanism) Options {
-	return Options{
+func testQuery(mech cache.Mechanism) Query {
+	return Query{
 		Cache:     cache.Config{Sets: 4, Ways: 2, BlockBytes: 8, HitLatency: 1, MemLatency: 10},
 		Pfail:     1e-3,
 		Mechanism: mech,
@@ -27,14 +27,14 @@ func buildLoop(t *testing.T) *program.Program {
 
 func TestAnalyzeDefaults(t *testing.T) {
 	p := buildLoop(t)
-	r, err := Analyze(p, Options{Pfail: 1e-4})
+	r, err := Analyze(p, EngineOptions{}, Query{Pfail: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Options.Cache != cache.PaperConfig() {
+	if r.Query.Cache != cache.PaperConfig() {
 		t.Error("default cache config not applied")
 	}
-	if r.Options.TargetExceedance != 1e-15 {
+	if r.Query.TargetExceedance != 1e-15 {
 		t.Error("default target exceedance not applied")
 	}
 	if r.FaultFreeWCET <= 0 {
@@ -47,16 +47,16 @@ func TestAnalyzeDefaults(t *testing.T) {
 
 func TestAnalyzeValidation(t *testing.T) {
 	p := buildLoop(t)
-	if _, err := Analyze(p, Options{Pfail: 2}); err == nil {
+	if _, err := Analyze(p, EngineOptions{}, Query{Pfail: 2}); err == nil {
 		t.Error("pfail=2 accepted")
 	}
 	for _, target := range []float64{1.5, math.NaN()} {
-		if _, err := Analyze(p, Options{Pfail: 1e-4, TargetExceedance: target}); err == nil {
+		if _, err := Analyze(p, EngineOptions{}, Query{Pfail: 1e-4, TargetExceedance: target}); err == nil {
 			t.Errorf("target %g accepted", target)
 		}
 	}
-	bad := Options{Cache: cache.Config{Sets: 3, Ways: 1, BlockBytes: 8, HitLatency: 1, MemLatency: 1}}
-	if _, err := Analyze(p, bad); err == nil {
+	bad := Query{Cache: cache.Config{Sets: 3, Ways: 1, BlockBytes: 8, HitLatency: 1, MemLatency: 1}}
+	if _, err := Analyze(p, EngineOptions{}, bad); err == nil {
 		t.Error("invalid cache accepted")
 	}
 }
@@ -64,9 +64,9 @@ func TestAnalyzeValidation(t *testing.T) {
 func TestZeroPfailPWCETEqualsWCET(t *testing.T) {
 	p := buildLoop(t)
 	for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismRW, cache.MechanismSRB} {
-		opt := testOptions(mech)
+		opt := testQuery(mech)
 		opt.Pfail = 0
-		r, err := Analyze(p, opt)
+		r, err := Analyze(p, EngineOptions{}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestMechanismOrdering(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := progen.Random(rng, progen.DefaultParams())
-		results, err := AnalyzeAll(p, testOptions(cache.MechanismNone))
+		results, err := AnalyzeAll(p, EngineOptions{}, testQuery(cache.MechanismNone))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,15 +123,15 @@ func TestAnalyzeAllMatchesIndividualAnalyses(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(500 + seed))
 		p := progen.Random(rng, progen.DefaultParams())
-		opt := testOptions(cache.MechanismNone)
-		shared, err := AnalyzeAll(p, opt)
+		opt := testQuery(cache.MechanismNone)
+		shared, err := AnalyzeAll(p, EngineOptions{}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range []cache.Mechanism{cache.MechanismNone, cache.MechanismRW, cache.MechanismSRB} {
 			o := opt
 			o.Mechanism = m
-			solo, err := Analyze(p, o)
+			solo, err := Analyze(p, EngineOptions{}, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,15 +156,15 @@ func TestAnalyzeAllMatchesIndividualAnalyses(t *testing.T) {
 
 func TestAnalyzeAllRejectsSpecializedOptions(t *testing.T) {
 	p := buildLoop(t)
-	opt := testOptions(cache.MechanismSRB)
+	opt := testQuery(cache.MechanismSRB)
 	opt.PreciseSRB = true
-	if _, err := AnalyzeAll(p, opt); err == nil {
+	if _, err := AnalyzeAll(p, EngineOptions{}, opt); err == nil {
 		t.Error("AnalyzeAll accepted PreciseSRB")
 	}
-	dcfg := testOptions(cache.MechanismNone).Cache
-	opt2 := testOptions(cache.MechanismNone)
+	dcfg := testQuery(cache.MechanismNone).Cache
+	opt2 := testQuery(cache.MechanismNone)
 	opt2.DataCache = &dcfg
-	if _, err := AnalyzeAll(p, opt2); err == nil {
+	if _, err := AnalyzeAll(p, EngineOptions{}, opt2); err == nil {
 		t.Error("AnalyzeAll accepted DataCache")
 	}
 }
@@ -182,7 +182,7 @@ func TestGain(t *testing.T) {
 
 func TestPWCETMonotoneInExceedance(t *testing.T) {
 	p := buildLoop(t)
-	r, err := Analyze(p, testOptions(cache.MechanismNone))
+	r, err := Analyze(p, EngineOptions{}, testQuery(cache.MechanismNone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestPWCETMonotoneInExceedance(t *testing.T) {
 
 func TestExceedanceCurveShape(t *testing.T) {
 	p := buildLoop(t)
-	r, err := Analyze(p, testOptions(cache.MechanismNone))
+	r, err := Analyze(p, EngineOptions{}, testQuery(cache.MechanismNone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +228,9 @@ func TestPfailMonotone(t *testing.T) {
 	p := buildLoop(t)
 	prev := int64(0)
 	for _, pf := range []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2} {
-		opt := testOptions(cache.MechanismNone)
+		opt := testQuery(cache.MechanismNone)
 		opt.Pfail = pf
-		r, err := Analyze(p, opt)
+		r, err := Analyze(p, EngineOptions{}, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestPfailMonotone(t *testing.T) {
 
 func TestClassify(t *testing.T) {
 	p := buildLoop(t)
-	c := Classify(p, testOptions(cache.MechanismNone).Cache)
+	c := Classify(p, testQuery(cache.MechanismNone).Cache)
 	if len(c.Refs) == 0 || len(c.Classes) != len(c.Refs) || len(c.SRBHit) != len(c.Refs) {
 		t.Fatal("classification shape wrong")
 	}
@@ -255,7 +255,7 @@ func TestClassify(t *testing.T) {
 // smallest value whose exceedance is <= p.
 func TestCurveQuantileConsistency(t *testing.T) {
 	p := buildLoop(t)
-	r, err := Analyze(p, testOptions(cache.MechanismNone))
+	r, err := Analyze(p, EngineOptions{}, testQuery(cache.MechanismNone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +276,13 @@ func TestCurveQuantileConsistency(t *testing.T) {
 func TestCoarseningStillSound(t *testing.T) {
 	// A tiny MaxSupport must never lower the pWCET (mass only moves up).
 	p := progen.Random(rand.New(rand.NewSource(3)), progen.DefaultParams())
-	exact, err := Analyze(p, testOptions(cache.MechanismNone))
+	exact, err := Analyze(p, EngineOptions{}, testQuery(cache.MechanismNone))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := testOptions(cache.MechanismNone)
+	opt := testQuery(cache.MechanismNone)
 	opt.MaxSupport = 8
-	coarse, err := Analyze(p, opt)
+	coarse, err := Analyze(p, EngineOptions{}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

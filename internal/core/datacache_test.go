@@ -67,11 +67,11 @@ func TestCombinedWCETAddsDataCosts(t *testing.T) {
 	p := buildDataProgram()
 	icfg := dcacheConfig()
 	dcfg := dcacheConfig()
-	without, err := Analyze(p, Options{Cache: icfg, Pfail: 0})
+	without, err := Analyze(p, EngineOptions{}, Query{Cache: icfg, Pfail: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := Analyze(p, Options{Cache: icfg, Pfail: 0, DataCache: &dcfg})
+	with, err := Analyze(p, EngineOptions{}, Query{Cache: icfg, Pfail: 0, DataCache: &dcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestDataFaultsRaisePWCET(t *testing.T) {
 	icfg := dcacheConfig()
 	dcfg := dcacheConfig()
 	for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismRW, cache.MechanismSRB} {
-		r, err := Analyze(p, Options{Cache: icfg, Pfail: 1e-3, Mechanism: mech, DataCache: &dcfg})
+		r, err := Analyze(p, EngineOptions{}, Query{Cache: icfg, Pfail: 1e-3, Mechanism: mech, DataCache: &dcfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestDataCacheMechanismOrdering(t *testing.T) {
 	dcfg := dcacheConfig()
 	results := map[cache.Mechanism]*Result{}
 	for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismRW, cache.MechanismSRB} {
-		r, err := Analyze(p, Options{Cache: icfg, Pfail: 2e-3, Mechanism: mech, DataCache: &dcfg})
+		r, err := Analyze(p, EngineOptions{}, Query{Cache: icfg, Pfail: 2e-3, Mechanism: mech, DataCache: &dcfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestDataCacheMechanismOrdering(t *testing.T) {
 func TestPreciseSRBWithDataCacheRejected(t *testing.T) {
 	p := buildDataProgram()
 	dcfg := dcacheConfig()
-	_, err := Analyze(p, Options{
+	_, err := Analyze(p, EngineOptions{}, Query{
 		Cache: dcacheConfig(), Pfail: 1e-4,
 		Mechanism: cache.MechanismSRB, PreciseSRB: true, DataCache: &dcfg,
 	})

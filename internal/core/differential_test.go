@@ -70,19 +70,14 @@ func TestOptimizedPipelineMatchesReference(t *testing.T) {
 			// The reference run fixes the pivot-path-independent truth
 			// once; every optimized worker count must reproduce it.
 			p := malardalen.MustGet(tc.bench)
-			opt := Options{Cache: tc.cfg, Pfail: 1e-4, Mechanism: mech}
-			refOpt := opt
-			refOpt.Reference = true
-			refOpt.Workers = 1
-			want, err := Analyze(p, refOpt)
+			q := Query{Cache: tc.cfg, Pfail: 1e-4, Mechanism: mech}
+			want, err := Analyze(p, EngineOptions{Workers: 1, Reference: true}, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("%s/sets=%d/%v/workers=%d", tc.bench, tc.cfg.Sets, mech, workers)
-				fastOpt := opt
-				fastOpt.Workers = workers
-				got, err := Analyze(p, fastOpt)
+				got, err := Analyze(p, EngineOptions{Workers: workers}, q)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -54,109 +54,15 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/absint"
 	"repro/internal/cache"
-	"repro/internal/cfg"
 	"repro/internal/chmc"
-	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/faultpoint"
 	"repro/internal/ipet"
 	"repro/internal/program"
 )
-
-// Query selects one analysis configuration to run against an Engine's
-// program. The zero value of each field selects the same default as the
-// corresponding Options field (paper cache, 1e-15 target, 4096 support
-// cap); Workers is not part of a Query — parallelism belongs to the
-// Engine, and results never depend on it.
-type Query struct {
-	// Cache is the instruction-cache geometry. Zero value = PaperConfig.
-	Cache cache.Config
-	// Pfail is the per-bit permanent failure probability — the legacy
-	// spelling of Scenario = fault.Permanent{Pfail} (see
-	// Options.Pfail).
-	Pfail float64
-	// Scenario selects the fault environment (see Options.Scenario).
-	// nil defaults to fault.Permanent{Pfail: Pfail}. Scenario
-	// parameters only shape the per-query probability weighting: the
-	// memoized artifacts they read (classification, WCET, FMM columns,
-	// transient hit bounds) are scenario-independent, so a lambda or
-	// pfail sweep computes each artifact exactly once.
-	Scenario fault.Scenario
-	// Mechanism selects the reliability hardware (None, RW, SRB).
-	Mechanism cache.Mechanism
-	// TargetExceedance is the probability at which the pWCET is read
-	// (default 1e-15). It is the only field that does not shape the
-	// penalty distribution: in a batch, queries that differ only in
-	// their targets read their pWCETs off one shared distribution.
-	TargetExceedance float64
-	// MaxSupport caps the convolution support size (default 4096).
-	MaxSupport int
-	// Coarsen selects the coarsening strategy enforcing MaxSupport
-	// (zero value: dist.CoarsenLeastError). The strategy only shapes
-	// the per-query distribution stage, which is never memoized: every
-	// cached artifact (classification, WCET, FMM) is a pure function of
-	// keys the strategy is not part of BECAUSE it cannot influence them
-	// — fault-miss counts are convolution-free. Two queries differing
-	// only in Coarsen therefore share every artifact and still can
-	// never alias each other's distributions or results (asserted by
-	// TestEngineCoarsenStrategyNoAliasing).
-	Coarsen dist.CoarsenStrategy
-	// PreciseSRB enables the refined SRB analysis (mixture bound).
-	PreciseSRB bool
-	// DataCache, when non-nil, additionally analyzes data accesses
-	// against this configuration (not combinable with PreciseSRB).
-	DataCache *cache.Config
-	// SoftDeadline, when positive, arms the degraded mode: if one
-	// attempt of the query does not finish within this duration, the
-	// engine retries with a geometrically tighter MaxSupport cap
-	// (quartering down to a floor of 16 support points) and marks the
-	// result Degraded instead of failing. The final floor attempt runs
-	// without the soft deadline, so a query only fails outright when
-	// the caller's own context expires. Degradation is sound:
-	// coarsening is tail-preserving, so every degraded pWCET
-	// upper-bounds the exact one (see Result.Degraded). Zero disables
-	// the mechanism — queries run to completion at full precision.
-	//
-	// SoftDeadline is not part of any memo key: artifacts computed by a
-	// degraded attempt are the same pure functions of their keys as
-	// always, and the per-query distribution stage is never memoized.
-	SoftDeadline time.Duration
-}
-
-// options converts the query to the equivalent one-shot Options.
-func (q Query) options(workers int) Options {
-	return Options{
-		Cache:            q.Cache,
-		Pfail:            q.Pfail,
-		Scenario:         q.Scenario,
-		Mechanism:        q.Mechanism,
-		TargetExceedance: q.TargetExceedance,
-		MaxSupport:       q.MaxSupport,
-		Coarsen:          q.Coarsen,
-		PreciseSRB:       q.PreciseSRB,
-		DataCache:        q.DataCache,
-		Workers:          workers,
-	}
-}
-
-// queryOf converts one-shot Options to the equivalent Query.
-func queryOf(o Options) Query {
-	return Query{
-		Cache:            o.Cache,
-		Pfail:            o.Pfail,
-		Scenario:         o.Scenario,
-		Mechanism:        o.Mechanism,
-		TargetExceedance: o.TargetExceedance,
-		MaxSupport:       o.MaxSupport,
-		Coarsen:          o.Coarsen,
-		PreciseSRB:       o.PreciseSRB,
-		DataCache:        o.DataCache,
-	}
-}
 
 // Artifact identifies one class of memoized computation. Hook callbacks
 // receive the artifact kind so tests and monitoring can count how often
@@ -234,15 +140,25 @@ type EngineOptions struct {
 	// goroutine; the callback must be safe for concurrent use.
 	Hook func(ArtifactEvent)
 	// Reference builds every artifact on the retained reference
-	// implementations (dense simplex, map-based abstract domain) —
-	// see Options.Reference. Bit-identical results, much slower;
-	// for differential validation only.
+	// implementations of the hot paths: the dense uncompacted simplex
+	// (lp.NewReferenceSimplex) and the map-based abstract cache domain
+	// (absint.NewReference), instead of the compacted sparse simplex
+	// and the indexed compact domain. Results are bit-identical either
+	// way — the differential byte-identity suite asserts it on every
+	// stage (WCET, full FMM, penalty distribution, pWCET curve) — so
+	// the flag exists purely to validate the optimized path, at a
+	// substantial slowdown.
 	Reference bool
 	// ExactConvolve routes every query's penalty reduction through the
-	// retained reference convolution executor — see
-	// Options.ExactConvolve. The convolution analogue of Reference:
-	// byte-identical results whenever no coarsening binds, final-
-	// coarsen-only semantics (no in-tree coarsening) when it does.
+	// retained reference convolution executor (dist.ConvolveAllExact):
+	// the same canonical order and merge plan as the optimized monoid
+	// engine, but no subtree sharing and no in-tree coarsening — the
+	// convolution analogue of Reference. Byte-identical to the default
+	// whenever no coarsening binds; when the support cap binds hard
+	// (deeply over-cap configurations arm in-tree coarsening), the
+	// default trades a bounded, documented exceedance-area budget for a
+	// large speedup, and this flag recovers the final-coarsen-only
+	// semantics for differential validation.
 	ExactConvolve bool
 	// MaxArtifactBytes bounds the estimated resident bytes of the
 	// engine's memoized artifacts (classification fixpoints, warm IPET
@@ -270,7 +186,7 @@ type EngineOptions struct {
 //
 // An Engine is safe for concurrent use; all memoized artifacts are pure
 // functions of their keys, so results are byte-identical to independent
-// one-shot Analyze calls with the same Workers setting, in any order.
+// one-shot Analyze calls with the same options, in any order.
 // By default memoized artifacts are retained for the lifetime of the
 // Engine (unbounded memory); EngineOptions.MaxArtifactBytes bounds the
 // estimated resident total with LRU eviction, trading recomputation for
@@ -278,11 +194,7 @@ type EngineOptions struct {
 // estimate and the hit/miss/eviction counters.
 type Engine struct {
 	p        *program.Program
-	workers  int
-	hook     func(ArtifactEvent)
-	ref      bool
-	exact    bool
-	maxBytes int64
+	opt      EngineOptions
 	pristine *ipet.System
 
 	// poisoned is set when a query panicked inside the engine (see
@@ -388,51 +300,26 @@ type fmmKey struct {
 // system and runs simplex phase 1. Everything else is computed lazily
 // and memoized as queries need it.
 func NewEngine(p *program.Program, opt EngineOptions) (*Engine, error) {
-	if opt.Workers < 0 {
-		return nil, fmt.Errorf("core: Workers %d is negative (0 means GOMAXPROCS)", opt.Workers)
-	}
 	if faultpoint.Enabled {
 		if err := faultpoint.Hit(faultpoint.SiteEngineBuild); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	// Soundness gate, identical to Analyze: IPET loop-bound constraints
-	// are only valid for verified natural loops on a reducible CFG.
-	if err := cfg.VerifyLoopMetadata(p); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", p.Name, err)
-	}
-	if !cfg.Reducible(p) {
-		return nil, fmt.Errorf("core: %s: irreducible control flow", p.Name)
-	}
-	newSystem := ipet.NewSystem
-	if opt.Reference {
-		newSystem = ipet.NewReferenceSystem
-	}
-	sys, err := newSystem(p)
+	sys, err := verifiedSystem(p, opt)
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{
 		p:        p,
-		workers:  opt.Workers,
-		hook:     opt.Hook,
-		ref:      opt.Reference,
-		exact:    opt.ExactConvolve,
-		maxBytes: opt.MaxArtifactBytes,
+		opt:      opt,
 		pristine: sys,
 		ctxs:     memo[ctxKey, wcetCtx]{evicted: wcetCtx.unpinClasses},
 	}, nil
 }
 
-// Program returns the program the engine analyzes.
-func (e *Engine) Program() *program.Program { return e.p }
-
-// Workers returns the engine's worker bound (0 means GOMAXPROCS).
-func (e *Engine) Workers() int { return e.workers }
-
 func (e *Engine) emit(ev ArtifactEvent) {
-	if e.hook != nil {
-		e.hook(ev)
+	if e.opt.Hook != nil {
+		e.opt.Hook(ev)
 	}
 }
 
@@ -448,11 +335,11 @@ func (e *Engine) class(qctx context.Context, cfg cache.Config, data bool) *memoC
 	c, _ := get(e, qctx, &e.classes, classKey{cfg: cfg, data: data}, pinDep, ev, func() (classification, int64, error) {
 		var a *absint.Analyzer
 		switch {
-		case data && e.ref:
+		case data && e.opt.Reference:
 			a = absint.NewDataReference(e.p, cfg)
 		case data:
 			a = absint.NewData(e.p, cfg)
-		case e.ref:
+		case e.opt.Reference:
 			a = absint.NewReference(e.p, cfg)
 		default:
 			a = absint.New(e.p, cfg)
@@ -526,7 +413,7 @@ func (e *Engine) context(qctx context.Context, icfg cache.Config, dcfg *cache.Co
 // artifact is computed; the artifact itself is evicted by the LRU alone.
 func (e *Engine) fmmArtifact(qctx context.Context, w wcetCtx, kind fmmKind, data bool) (ipet.FMM, error) {
 	cl := w.class(data)
-	opt := ipet.FMMOptions{Workers: e.workers, OnlyWholeSetColumn: kind != fmmCore}
+	opt := ipet.FMMOptions{Workers: e.opt.Workers, OnlyWholeSetColumn: kind != fmmCore}
 	ev := ArtifactEvent{Artifact: ArtifactFMMColumn, Cache: cl.a.Config(), Data: data}
 	switch kind {
 	case fmmCore:
@@ -539,7 +426,7 @@ func (e *Engine) fmmArtifact(qctx context.Context, w wcetCtx, kind fmmKind, data
 	case fmmSRBColumn:
 		opt.Mechanism, ev.Mechanism = cache.MechanismSRB, cache.MechanismSRB
 	case fmmPreciseColumn:
-		// The precise column classifies per set (ClassifySRBForSet);
+		// The precise column classifies each set at associativity 1;
 		// the SRB guaranteed-hit vector is not consulted.
 		opt.Mechanism, opt.PreciseSRB = cache.MechanismSRB, true
 		ev.Mechanism, ev.Precise = cache.MechanismSRB, true
@@ -565,7 +452,7 @@ func (e *Engine) hitBounds(qctx context.Context, w wcetCtx) (ipet.HitBounds, err
 	cl := w.class(false)
 	ev := ArtifactEvent{Artifact: ArtifactTransientBound, Cache: cl.a.Config()}
 	return valueOf(get(e, qctx, &e.hbs, w.key, pinNone, ev, func() (ipet.HitBounds, int64, error) {
-		opt := ipet.HitBoundOptions{Workers: e.workers}
+		opt := ipet.HitBoundOptions{Workers: e.opt.Workers}
 		if qctx.Done() != nil {
 			opt.Ctx = qctx
 		}
@@ -606,9 +493,9 @@ func (e *Engine) fmmFor(qctx context.Context, w wcetCtx, data bool, mech cache.M
 
 // Analyze runs one query against the session, reusing every memoized
 // artifact and computing only the per-query probability weighting,
-// convolution and quantile. The result is byte-identical to a one-shot
-// Analyze call with the same configuration. It is exactly
-// AnalyzeContext under context.Background().
+// convolution and quantile. The result is byte-identical to the oracle's
+// Analyze(p, options, q), as long as no soft deadline degrades it. It
+// is exactly AnalyzeContext under context.Background().
 func (e *Engine) Analyze(q Query) (*Result, error) {
 	return e.AnalyzeContext(context.Background(), q)
 }
@@ -622,7 +509,7 @@ func (e *Engine) Analyze(q Query) (*Result, error) {
 // are never left poisoned by a cancellation — a partially computed
 // entry is dropped and the next query recomputes it.
 func (e *Engine) AnalyzeContext(ctx context.Context, q Query) (*Result, error) {
-	return e.analyze(ctx, q, e.workers)
+	return e.analyze(ctx, q, e.opt.Workers)
 }
 
 // analyze runs one query with the per-query distribution stages
@@ -658,7 +545,6 @@ func (e *Engine) analyzeDegrade(qctx context.Context, q Query, stageWorkers int)
 		caps = append(caps, floorSupport)
 	}
 	soft := q.SoftDeadline
-	q.SoftDeadline = 0
 	for attempt, c := range caps {
 		q.MaxSupport = c
 		last := attempt == len(caps)-1
@@ -710,13 +596,13 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 	if err := qctx.Err(); err != nil {
 		return nil, err
 	}
-	pl, err := e.resolve(q)
+	pl, err := resolve(q)
 	if err != nil {
 		return nil, err
 	}
-	opt, kind := pl.opt, pl.scn.Kind()
+	q, kind := pl.q, pl.scn.Kind()
 
-	cc, err := e.context(qctx, opt.Cache, opt.DataCache)
+	cc, err := e.context(qctx, q.Cache, q.DataCache)
 	if err != nil {
 		return nil, err
 	}
@@ -729,7 +615,7 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 	ce := cc.val
 	var fmm ipet.FMM
 	if kind != fault.KindTransient {
-		fmm, err = e.fmmFor(qctx, ce, false, opt.Mechanism, false)
+		fmm, err = e.fmmFor(qctx, ce, false, q.Mechanism, false)
 		if err != nil {
 			return nil, err
 		}
@@ -737,7 +623,7 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 
 	res = &Result{
 		Program:       e.p.Name,
-		Options:       opt,
+		Query:         q,
 		Scenario:      pl.scn,
 		Model:         pl.model,
 		FaultFreeWCET: ce.wcet.WCET,
@@ -756,74 +642,28 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 			return nil, err
 		}
 	}
-	if opt.DataCache != nil {
-		dfmm, err := e.fmmFor(qctx, ce, true, opt.Mechanism, false)
+	if q.DataCache != nil {
+		dfmm, err := e.fmmFor(qctx, ce, true, q.Mechanism, false)
 		if err != nil {
 			return nil, err
 		}
 		res.DataModel = pl.dmodel
 		res.DataFMM = dfmm
 	}
-	if err := res.buildDistributionsCancel(stageWorkers, probe); err != nil {
+	if err := res.buildDistributions(stageWorkers, e.opt.ExactConvolve, probe); err != nil {
 		return nil, err
 	}
-	if opt.PreciseSRB && opt.Mechanism == cache.MechanismSRB {
-		pfmm, err := e.fmmFor(qctx, ce, false, opt.Mechanism, true)
+	if q.PreciseSRB && q.Mechanism == cache.MechanismSRB {
+		pfmm, err := e.fmmFor(qctx, ce, false, q.Mechanism, true)
 		if err != nil {
 			return nil, err
 		}
-		if err := res.attachPreciseSRB(pfmm, stageWorkers, probe); err != nil {
+		if err := res.attachPreciseSRB(pfmm, stageWorkers, e.opt.ExactConvolve, probe); err != nil {
 			return nil, err
 		}
 	}
-	res.PWCET = res.PWCETAt(opt.TargetExceedance)
+	res.PWCET = res.PWCETAt(q.TargetExceedance)
 	return res, nil
-}
-
-// plan is what a query resolves to before any artifact is touched: its
-// validated options with defaults applied and the engine's settings
-// echoed, its fault scenario and the fault models derived from it.
-type plan struct {
-	opt           Options
-	scn           fault.Scenario
-	model, dmodel fault.Model
-}
-
-// resolve validates a query against the engine and derives its plan.
-// It computes nothing shared, so a query it rejects fails on its own.
-func (e *Engine) resolve(q Query) (plan, error) {
-	opt := q.options(e.workers)
-	opt.Reference = e.ref       // echoed in Result.Options like the one-shot path
-	opt.ExactConvolve = e.exact // ditto; buildDistributions reads it off Result.Options
-	opt = opt.withDefaults()
-	if err := opt.validate(); err != nil {
-		return plan{}, err
-	}
-	if opt.DataCache != nil && opt.PreciseSRB {
-		return plan{}, fmt.Errorf("core: PreciseSRB is not supported together with a data cache")
-	}
-	scn, err := opt.scenario()
-	if err != nil {
-		return plan{}, err
-	}
-	kind := scn.Kind()
-	pfail, _ := fault.Components(scn)
-	if kind != fault.KindPermanent && (opt.PreciseSRB || opt.DataCache != nil) {
-		return plan{}, fmt.Errorf("core: %v scenario does not support PreciseSRB or DataCache (permanent only)", kind)
-	}
-	pl := plan{opt: opt, scn: scn}
-	if pl.model, err = fault.NewModel(pfail, opt.Cache); err != nil {
-		return plan{}, err
-	}
-	if opt.DataCache != nil {
-		if err := opt.DataCache.Validate(); err != nil {
-			return plan{}, fmt.Errorf("core: data cache: %w", err)
-		}
-		if pl.dmodel, err = fault.NewModel(pfail, *opt.DataCache); err != nil {
-			return plan{}, err
-		}
-	}
-	return pl, nil
 }
 
 // BatchResult is one indexed outcome of AnalyzeBatchStream: the query's
@@ -849,7 +689,7 @@ type BatchResult struct {
 // that differ only in TargetExceedance form one group, which runs one
 // analysis and reads every member's pWCET off the same distributions.
 // Each member still gets its own Result, byte-identical to a solo
-// Analyze of its query: it echoes the member's own options and owns
+// Analyze of its query: it echoes the member's own query and owns
 // its fault miss maps, while PerSet, Penalty and PenaltyPrecise — which
 // nothing mutates — are shared. A query that fails validation runs
 // alone, and when a group's analysis fails every member runs alone, so
@@ -865,7 +705,7 @@ func (e *Engine) AnalyzeBatchStream(queries []Query, deliver func(BatchResult)) 
 // query, and all worker goroutines exit before the call returns.
 func (e *Engine) AnalyzeBatchStreamContext(ctx context.Context, queries []Query, deliver func(BatchResult)) {
 	groups := e.batchGroups(queries)
-	workers := e.workers
+	workers := e.opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -874,7 +714,7 @@ func (e *Engine) AnalyzeBatchStreamContext(ctx context.Context, queries []Query,
 	}
 	if workers <= 1 {
 		for _, g := range groups {
-			e.runGroup(ctx, queries, g, e.workers, deliver)
+			e.runGroup(ctx, queries, g, e.opt.Workers, deliver)
 		}
 		return
 	}
@@ -921,12 +761,12 @@ func (e *Engine) batchGroups(queries []Query) [][]batchMember {
 	var groups [][]batchMember
 	byKey := make(map[groupKey]int) // position in groups; only looked up, never ranged over
 	for i, q := range queries {
-		pl, err := e.resolve(q)
+		pl, err := resolve(q)
 		if err != nil {
 			groups = append(groups, []batchMember{{index: i}})
 			continue
 		}
-		k := pl.groupKey(q.SoftDeadline)
+		k := pl.groupKey()
 		if g, ok := byKey[k]; ok {
 			groups[g] = append(groups[g], batchMember{index: i, plan: pl})
 			continue
@@ -966,29 +806,28 @@ func (e *Engine) runGroup(ctx context.Context, queries []Query, g []batchMember,
 }
 
 // groupKey identifies the penalty distribution a valid query reads its
-// pWCET from: its plan without the exceedance target. The scenario
-// enters as its kind and bit-exact components and the data cache by
-// value, so the key hashes no Scenario interface value (an
+// pWCET from: its resolved query without the exceedance target. The
+// scenario enters as its kind and bit-exact components and the data
+// cache by value, so the key hashes no Scenario interface value (an
 // implementation need not be comparable), a legacy Pfail and the
 // equivalent Permanent scenario share a group, and so do distinct
-// pointers to equal data caches. The soft deadline is part of the key
+// pointers to equal data caches. The soft deadline stays in the key
 // because it decides how far the distribution may be degraded.
 type groupKey struct {
-	opt           Options // with the fields Result.member restores cleared
+	q             Query // with the fields Result.member restores cleared
 	kind          fault.Kind
 	pfail, lambda uint64 // math.Float64bits of the scenario's components
 	data          cache.Config
 	hasData       bool
-	soft          time.Duration
 }
 
-func (pl plan) groupKey(soft time.Duration) groupKey {
-	k := groupKey{opt: pl.opt, kind: pl.scn.Kind(), soft: soft}
-	k.opt.TargetExceedance, k.opt.Pfail, k.opt.Scenario, k.opt.DataCache = 0, 0, nil, nil
+func (pl plan) groupKey() groupKey {
+	k := groupKey{q: pl.q, kind: pl.scn.Kind()}
+	k.q.TargetExceedance, k.q.Pfail, k.q.Scenario, k.q.DataCache = 0, 0, nil, nil
 	pfail, lambda := fault.Components(pl.scn)
 	k.pfail, k.lambda = math.Float64bits(pfail), math.Float64bits(lambda)
-	if pl.opt.DataCache != nil {
-		k.data, k.hasData = *pl.opt.DataCache, true
+	if pl.q.DataCache != nil {
+		k.data, k.hasData = *pl.q.DataCache, true
 	}
 	return k
 }
@@ -997,15 +836,15 @@ func (pl plan) groupKey(soft time.Duration) groupKey {
 // member with plan pl: the same analysis, read at the member's own
 // target. The distributions are shared, since nothing mutates them. The
 // fault miss maps are the member's own copies, as a solo query's are,
-// and the options echo the member's own values of the fields groupKey
-// leaves out.
+// and the query echo carries the member's own values of the fields
+// groupKey leaves out.
 func (r *Result) member(pl plan) *Result {
 	m := *r
-	m.Options.TargetExceedance, m.Options.Pfail = pl.opt.TargetExceedance, pl.opt.Pfail
-	m.Options.Scenario, m.Options.DataCache = pl.opt.Scenario, pl.opt.DataCache
+	m.Query.TargetExceedance, m.Query.Pfail = pl.q.TargetExceedance, pl.q.Pfail
+	m.Query.Scenario, m.Query.DataCache = pl.q.Scenario, pl.q.DataCache
 	m.Scenario = pl.scn
 	m.FMM, m.DataFMM, m.FMMPrecise = cloneFMM(r.FMM), cloneFMM(r.DataFMM), cloneFMM(r.FMMPrecise)
-	m.PWCET = m.PWCETAt(m.Options.TargetExceedance)
+	m.PWCET = m.PWCETAt(m.Query.TargetExceedance)
 	return &m
 }
 
@@ -1021,20 +860,14 @@ func cloneFMM(fmm ipet.FMM) ipet.FMM {
 	return c
 }
 
-// AnalyzeBatchChan is AnalyzeBatchStream delivering over a channel; the
-// channel is closed after the last result. The channel is buffered to
-// hold the whole batch, so a consumer that stops reading early (e.g.
-// breaking out of the range on the first error) strands no goroutine —
-// the remaining queries still run to completion in the background.
-func (e *Engine) AnalyzeBatchChan(queries []Query) <-chan BatchResult {
-	return e.AnalyzeBatchChanContext(context.Background(), queries)
-}
-
-// AnalyzeBatchChanContext is AnalyzeBatchChan under a context. The
-// channel still closes after exactly len(queries) results — canceled
-// queries are delivered with Err set, never silently dropped — so an
-// abandoned consumer strands no goroutine and a canceled batch winds
-// down promptly.
+// AnalyzeBatchChanContext is AnalyzeBatchStreamContext delivering over
+// a channel, which is closed after the last result. The channel is
+// buffered to hold the whole batch, so a consumer that stops reading
+// early (e.g. breaking out of the range on the first error) strands no
+// goroutine — the remaining queries still run to completion in the
+// background. The channel closes after exactly len(queries) results —
+// canceled queries are delivered with Err set, never silently dropped —
+// so a canceled batch winds down promptly.
 func (e *Engine) AnalyzeBatchChanContext(ctx context.Context, queries []Query) <-chan BatchResult {
 	ch := make(chan BatchResult, len(queries))
 	go func() {

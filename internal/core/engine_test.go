@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,9 +19,9 @@ import (
 var sweepPfails = []float64{6.1e-13, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 2.6e-4, 5e-4, 1e-3}
 
 // requireDeepEqualResult asserts every field of two results is
-// byte-identical, including the echoed options, fault models, FMMs and
+// byte-identical, including the echoed query, fault models, FMMs and
 // every distribution atom. reflect.DeepEqual covers fields
-// requireSameResult does not (Model, Options, HitRefs...).
+// requireSameResult does not (Model, Query, HitRefs...).
 func requireDeepEqualResult(t *testing.T, label string, ref, got *Result) {
 	t.Helper()
 	requireSameResult(t, label, ref, got)
@@ -49,7 +50,7 @@ func TestEnginePfailSweepByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, pf := range sweepPfails {
-			solo, err := Analyze(p, Options{Pfail: pf, Mechanism: mech})
+			solo, err := Analyze(p, EngineOptions{}, Query{Pfail: pf, Mechanism: mech})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +72,7 @@ func TestEngineMatchesAnalyzeOnRandomPrograms(t *testing.T) {
 		for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismRW, cache.MechanismSRB} {
 			for _, target := range []float64{1e-9, 1e-15} {
 				q := Query{
-					Cache:            testOptions(mech).Cache,
+					Cache:            testQuery(mech).Cache,
 					Pfail:            1e-3,
 					Mechanism:        mech,
 					TargetExceedance: target,
@@ -80,7 +81,7 @@ func TestEngineMatchesAnalyzeOnRandomPrograms(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				solo, err := Analyze(p, q.options(0))
+				solo, err := Analyze(p, EngineOptions{}, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,7 +116,7 @@ func TestEngineCacheSweepByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		solo, err := Analyze(p, q.options(0))
+		solo, err := Analyze(p, EngineOptions{}, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestEnginePreciseSRBAndDataCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := Analyze(p, prec.options(0))
+	solo, err := Analyze(p, EngineOptions{}, prec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestEnginePreciseSRBAndDataCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solo, err := Analyze(prog, q.options(0))
+		solo, err := Analyze(prog, EngineOptions{}, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +305,7 @@ func TestEngineBatchStreaming(t *testing.T) {
 	}
 
 	n := 0
-	for r := range e.AnalyzeBatchChan(queries) {
+	for r := range e.AnalyzeBatchChanContext(context.Background(), queries) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -323,7 +324,7 @@ func TestEngineBatchWorkersEquivalence(t *testing.T) {
 	var queries []Query
 	for _, pf := range []float64{1e-5, 1e-4, 1e-3} {
 		for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismRW, cache.MechanismSRB} {
-			queries = append(queries, Query{Cache: testOptions(mech).Cache, Pfail: pf, Mechanism: mech})
+			queries = append(queries, Query{Cache: testQuery(mech).Cache, Pfail: pf, Mechanism: mech})
 		}
 	}
 	refEngine, err := NewEngine(p, EngineOptions{Workers: 1})

@@ -77,7 +77,7 @@ var testEvent = ArtifactEvent{Artifact: ArtifactWCET}
 // caller, one computation, one event, one charge.
 func TestMemoComputesOnceForConcurrentCallers(t *testing.T) {
 	var events atomic.Int32
-	e := &Engine{hook: func(ArtifactEvent) { events.Add(1) }}
+	e := &Engine{opt: EngineOptions{Hook: func(ArtifactEvent) { events.Add(1) }}}
 	var m memo[string, int]
 	gate := make(chan struct{})
 	var calls atomic.Int32
@@ -227,7 +227,7 @@ func TestMemoJoinerRetriesAfterForeignCancel(t *testing.T) {
 // leaves its query pin behind.
 func TestMemoGenuineErrorIsSticky(t *testing.T) {
 	var events atomic.Int32
-	e := &Engine{hook: func(ArtifactEvent) { events.Add(1) }}
+	e := &Engine{opt: EngineOptions{Hook: func(ArtifactEvent) { events.Add(1) }}}
 	var m memo[string, int]
 	boom := errors.New("boom")
 	calls := 0
@@ -283,7 +283,7 @@ func TestMemoReleasesPinOnErrorAndPanic(t *testing.T) {
 			t.Fatal("the failing computation returned no error")
 		}
 		panicking(e, &m, "panic", pin, func() (int, int64, error) { panic("compute") })
-		e.hook = func(ArtifactEvent) { panic("hook") }
+		e.opt.Hook = func(ArtifactEvent) { panic("hook") }
 		panicking(e, &m, "hook", pin, func() (int, int64, error) { return 1, 8, nil })
 		for _, key := range []string{"error", "panic", "hook"} {
 			c := cellOf(e, &m, key)
@@ -308,7 +308,7 @@ func TestMemoReleasesPinOnErrorAndPanic(t *testing.T) {
 // until its pin is released.
 func TestMemoEvictedOncePerEviction(t *testing.T) {
 	evicted := make(map[int]int) // written under e.mu by the hook
-	e := &Engine{maxBytes: 20}
+	e := &Engine{opt: EngineOptions{MaxArtifactBytes: 20}}
 	m := memo[int, int]{evicted: func(v int) { evicted[v]++ }}
 	value := func(v int) func() (int, int64, error) {
 		return func() (int, int64, error) { return v, 8, nil }
@@ -338,7 +338,7 @@ func TestMemoEvictedOncePerEviction(t *testing.T) {
 	}
 	// Releasing the pin under a budget that fits one cell evicts the
 	// released cell, the least recently used.
-	e.maxBytes = 8
+	e.opt.MaxArtifactBytes = 8
 	e.release(&pinned.node, pinQuery)
 	if e.evictions != 5 || evicted[0] != 1 || cellOf(e, &m, 0) != nil || cellOf(e, &m, 5) == nil {
 		t.Errorf("after releasing the pin: %d evictions, evicted hook saw %v; want key 0 evicted once, key 5 kept", e.evictions, evicted)

@@ -148,7 +148,7 @@ func (e *Engine) MemStats() MemStats {
 	}
 	return MemStats{
 		ArtifactBytes:    e.resident,
-		MaxArtifactBytes: e.maxBytes,
+		MaxArtifactBytes: e.opt.MaxArtifactBytes,
 		Artifacts:        e.artifacts,
 		Hits:             e.hits,
 		Misses:           e.misses,
@@ -233,7 +233,7 @@ func (e *Engine) evictLocked() {
 	// byte-identically — which is exactly what the soak harness asserts
 	// under this fault.
 	force := faultpoint.Enabled && faultpoint.Fires(faultpoint.SiteForceEvict)
-	for force || (e.maxBytes > 0 && e.resident > e.maxBytes) {
+	for force || (e.opt.MaxArtifactBytes > 0 && e.resident > e.opt.MaxArtifactBytes) {
 		victim := e.lruTail
 		for victim != nil && victim.pins > 0 {
 			victim = victim.prev

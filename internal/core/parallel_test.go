@@ -14,7 +14,7 @@ import (
 // field the parallelism touches: FMM entries, per-set distributions,
 // penalty distribution and pWCET. Probabilities must match exactly
 // (==), not within a tolerance — the determinism guarantee of
-// Options.Workers is bit-level.
+// EngineOptions.Workers is bit-level.
 func requireSameResult(t *testing.T, label string, ref, got *Result) {
 	t.Helper()
 	if got.FaultFreeWCET != ref.FaultFreeWCET {
@@ -62,15 +62,13 @@ func TestAnalyzeWorkersEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		p := progen.Random(rand.New(rand.NewSource(700+seed)), progen.DefaultParams())
 		for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismRW, cache.MechanismSRB} {
-			opt := testOptions(mech)
-			opt.Workers = 1
-			ref, err := Analyze(p, opt)
+			q := testQuery(mech)
+			ref, err := Analyze(p, EngineOptions{Workers: 1}, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 2, 4, 13} {
-				opt.Workers = workers
-				got, err := Analyze(p, opt)
+				got, err := Analyze(p, EngineOptions{Workers: workers}, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,15 +83,13 @@ func TestAnalyzeWorkersEquivalence(t *testing.T) {
 func TestAnalyzeAllWorkersEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		p := progen.Random(rand.New(rand.NewSource(800+seed)), progen.DefaultParams())
-		opt := testOptions(cache.MechanismNone)
-		opt.Workers = 1
-		ref, err := AnalyzeAll(p, opt)
+		q := testQuery(cache.MechanismNone)
+		ref, err := AnalyzeAll(p, EngineOptions{Workers: 1}, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 2, 4} {
-			opt.Workers = workers
-			got, err := AnalyzeAll(p, opt)
+			got, err := AnalyzeAll(p, EngineOptions{Workers: workers}, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,8 +128,8 @@ func TestWorkersEquivalence256Sets(t *testing.T) {
 	cfg := cache.Config{Sets: 256, Ways: 2, BlockBytes: 8, HitLatency: 1, MemLatency: 100}
 	p := build256SetProgram(t)
 
-	opt := Options{Cache: cfg, Pfail: 1e-3, Mechanism: cache.MechanismSRB, Workers: 1}
-	ref, err := Analyze(p, opt)
+	q := Query{Cache: cfg, Pfail: 1e-3, Mechanism: cache.MechanismSRB}
+	ref, err := Analyze(p, EngineOptions{Workers: 1}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,20 +145,18 @@ func TestWorkersEquivalence256Sets(t *testing.T) {
 	if touched < 200 {
 		t.Fatalf("only %d of 256 sets carry misses; the scale case is not exercising the pool", touched)
 	}
-	opt.Workers = 4
-	got, err := Analyze(p, opt)
+	got, err := Analyze(p, EngineOptions{Workers: 4}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "srb-256", ref, got)
 
-	aopt := Options{Cache: cfg, Pfail: 1e-3, Workers: 1}
-	refAll, err := AnalyzeAll(p, aopt)
+	aq := Query{Cache: cfg, Pfail: 1e-3}
+	refAll, err := AnalyzeAll(p, EngineOptions{Workers: 1}, aq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aopt.Workers = 4
-	gotAll, err := AnalyzeAll(p, aopt)
+	gotAll, err := AnalyzeAll(p, EngineOptions{Workers: 4}, aq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,27 +170,26 @@ func TestWorkersEquivalence256Sets(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	p := buildLoop(t)
 	for _, bad := range []int{1, -1, -4096} {
-		opt := testOptions(cache.MechanismNone)
+		opt := testQuery(cache.MechanismNone)
 		opt.MaxSupport = bad
-		if _, err := Analyze(p, opt); err == nil {
+		if _, err := Analyze(p, EngineOptions{}, opt); err == nil {
 			t.Errorf("Analyze accepted MaxSupport = %d", bad)
 		}
-		if _, err := AnalyzeAll(p, opt); err == nil {
+		if _, err := AnalyzeAll(p, EngineOptions{}, opt); err == nil {
 			t.Errorf("AnalyzeAll accepted MaxSupport = %d", bad)
 		}
 	}
-	opt := testOptions(cache.MechanismNone)
-	opt.Workers = -1
-	if _, err := Analyze(p, opt); err == nil {
+	neg := EngineOptions{Workers: -1}
+	if _, err := Analyze(p, neg, testQuery(cache.MechanismNone)); err == nil {
 		t.Error("Analyze accepted Workers = -1")
 	}
-	if _, err := AnalyzeAll(p, opt); err == nil {
+	if _, err := AnalyzeAll(p, neg, testQuery(cache.MechanismNone)); err == nil {
 		t.Error("AnalyzeAll accepted Workers = -1")
 	}
 	// MaxSupport = 2 is the smallest valid cap and must be accepted.
-	opt = testOptions(cache.MechanismNone)
+	opt := testQuery(cache.MechanismNone)
 	opt.MaxSupport = 2
-	if _, err := Analyze(p, opt); err != nil {
+	if _, err := Analyze(p, EngineOptions{}, opt); err != nil {
 		t.Errorf("Analyze rejected MaxSupport = 2: %v", err)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/absint"
-	"repro/internal/chmc"
 	"repro/internal/fault"
 	"repro/internal/ipet"
 )
@@ -47,35 +45,19 @@ func probMultiFullSets(pbf float64, sets, ways int) float64 {
 	return 1 - math.Pow(1-q, s) - s*q*math.Pow(1-q, s-1)
 }
 
-// buildPreciseSRB computes the precise FMM and attaches the precise
-// penalty distribution to the result. Must be called after
-// buildDistributions.
-func (r *Result) buildPreciseSRB(sys *ipet.System, a *absint.Analyzer, base []chmc.Class) error {
-	fmm, err := ipet.ComputeFMM(sys, a, base, ipet.FMMOptions{
-		Mechanism:  r.Options.Mechanism,
-		PreciseSRB: true,
-		Workers:    r.Options.Workers,
-	})
-	if err != nil {
-		return err
-	}
-	return r.attachPreciseSRB(fmm, r.Options.Workers, nil)
-}
-
 // attachPreciseSRB derives the precise penalty distribution and the
 // mixture term from an already-computed precise FMM (Engine sessions
 // memoize it across queries); PWCETAt then reads the mixture bound.
-// workers bounds the convolution only. probe, when non-nil, is the
-// cancellation hook checked at every merge node of the reduction; on
-// its error nothing is attached to the result.
-func (r *Result) attachPreciseSRB(fmm ipet.FMM, workers int, probe func() error) error {
-	cfg := r.Options.Cache
+// Must be called after buildDistributions. workers, exact and probe
+// are buildDistributions' convolution settings; on a probe error
+// nothing is attached to the result.
+func (r *Result) attachPreciseSRB(fmm ipet.FMM, workers int, exact bool, probe func() error) error {
+	cfg := r.Query.Cache
 	perSet, err := perSetPenalties(fmm, fault.PWF(cfg.Ways, r.Model.PBF), cfg)
 	if err != nil {
 		return err
 	}
-	penalty, err := convolveSets(perSet, r.Options.MaxSupport, r.Options.Coarsen, workers,
-		r.Options.ExactConvolve, probe)
+	penalty, err := convolveSets(perSet, r.Query.MaxSupport, r.Query.Coarsen, workers, exact, probe)
 	if err != nil {
 		return err
 	}

@@ -45,7 +45,7 @@ func TestPerSetSRBSupersetOfGlobal(t *testing.T) {
 		a := absint.New(p, cfg)
 		global := a.ClassifySRB()
 		for set := 0; set < cfg.Sets; set++ {
-			perSet := a.ClassifySRBForSet(set)
+			perSet := a.ClassifySet(set, 1)
 			for _, r := range a.Refs() {
 				if r.Set != set {
 					continue
@@ -74,7 +74,7 @@ func TestPerSetSRBSeesTemporalLocality(t *testing.T) {
 
 	foundImprovement := false
 	for set := 0; set < cfg.Sets; set++ {
-		perSet := a.ClassifySRBForSet(set)
+		perSet := a.ClassifySet(set, 1)
 		for _, r := range a.Refs() {
 			if r.Set != set {
 				continue
@@ -97,11 +97,11 @@ func TestPreciseSRBAtRelaxedTarget(t *testing.T) {
 	// additive term dominates).
 	for _, name := range []string{"bs", "fibcall", "matmult", "crc"} {
 		p := malardalen.MustGet(name)
-		cons, err := Analyze(p, Options{Pfail: 1e-4, Mechanism: cache.MechanismSRB})
+		cons, err := Analyze(p, EngineOptions{}, Query{Pfail: 1e-4, Mechanism: cache.MechanismSRB})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prec, err := Analyze(p, Options{Pfail: 1e-4, Mechanism: cache.MechanismSRB, PreciseSRB: true})
+		prec, err := Analyze(p, EngineOptions{}, Query{Pfail: 1e-4, Mechanism: cache.MechanismSRB, PreciseSRB: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +133,11 @@ func TestPreciseSRBImprovesSomewhere(t *testing.T) {
 	improved := false
 	for _, name := range []string{"fibcall", "bs", "insertsort", "matmult"} {
 		p := malardalen.MustGet(name)
-		cons, err := Analyze(p, Options{Pfail: 1e-4, Mechanism: cache.MechanismSRB})
+		cons, err := Analyze(p, EngineOptions{}, Query{Pfail: 1e-4, Mechanism: cache.MechanismSRB})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prec, err := Analyze(p, Options{Pfail: 1e-4, Mechanism: cache.MechanismSRB, PreciseSRB: true})
+		prec, err := Analyze(p, EngineOptions{}, Query{Pfail: 1e-4, Mechanism: cache.MechanismSRB, PreciseSRB: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestPreciseSRBImprovesSomewhere(t *testing.T) {
 
 func TestPreciseSRBIgnoredForOtherMechanisms(t *testing.T) {
 	p := malardalen.MustGet("bs")
-	r, err := Analyze(p, Options{Pfail: 1e-4, Mechanism: cache.MechanismRW, PreciseSRB: true})
+	r, err := Analyze(p, EngineOptions{}, Query{Pfail: 1e-4, Mechanism: cache.MechanismRW, PreciseSRB: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +170,12 @@ func TestPreciseSRBIgnoredForOtherMechanisms(t *testing.T) {
 func TestAttachPreciseSRBHonorsCancellation(t *testing.T) {
 	p := malardalen.MustGet("bs")
 	for _, exact := range []bool{false, true} {
-		full, err := Analyze(p, Options{Pfail: 1e-4, Mechanism: cache.MechanismSRB, PreciseSRB: true, ExactConvolve: exact})
+		full, err := Analyze(p, EngineOptions{ExactConvolve: exact}, Query{Pfail: 1e-4, Mechanism: cache.MechanismSRB, PreciseSRB: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := &Result{Options: full.Options, Model: full.Model}
-		err = r.attachPreciseSRB(full.FMMPrecise, 4, func() error { return context.Canceled })
+		r := &Result{Query: full.Query, Model: full.Model}
+		err = r.attachPreciseSRB(full.FMMPrecise, 4, exact, func() error { return context.Canceled })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("exact=%v: attachPreciseSRB under a canceled probe = %v, want context.Canceled", exact, err)
 		}

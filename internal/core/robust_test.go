@@ -189,17 +189,16 @@ func TestDegradedModeSoundDominance(t *testing.T) {
 }
 
 // TestDegradedModeNoDeadlineIsExact: a generous soft deadline leaves
-// the result byte-identical to the plain path, with Degraded false.
+// the result byte-identical to the full-precision oracle, which has no
+// degraded mode, with Degraded false.
 func TestDegradedModeNoDeadlineIsExact(t *testing.T) {
 	p := buildLoop(t)
-	q := Query{Pfail: 1e-4, Mechanism: cache.MechanismRW}
-	a, _ := NewEngine(p, EngineOptions{})
-	b, _ := NewEngine(p, EngineOptions{})
-	exact, err := a.Analyze(q)
+	q := Query{Pfail: 1e-4, Mechanism: cache.MechanismRW, SoftDeadline: time.Hour}
+	exact, err := Analyze(p, EngineOptions{}, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.SoftDeadline = time.Hour
+	b, _ := NewEngine(p, EngineOptions{})
 	relaxed, err := b.Analyze(q)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +326,7 @@ func TestCycleOverflowIsAnError(t *testing.T) {
 				t.Fatalf("%s, %s: error %q, want %q ... overflows int64", label, how, err, tc.want)
 			}
 		}
-		_, err := Analyze(tc.p, Options{Cache: *tc.icache, DataCache: tc.dcache, Scenario: tc.scn, Mechanism: cache.MechanismNone})
+		_, err := Analyze(tc.p, EngineOptions{}, Query{Cache: *tc.icache, DataCache: tc.dcache, Scenario: tc.scn, Mechanism: cache.MechanismNone})
 		check("one-shot", err)
 
 		eng, err := NewEngine(tc.p, EngineOptions{})

@@ -50,7 +50,7 @@ func TestScalability(t *testing.T) {
 	}
 
 	start := time.Now()
-	results, err := AnalyzeAll(p, Options{Pfail: 1e-4})
+	results, err := AnalyzeAll(p, EngineOptions{}, Query{Pfail: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,15 +59,15 @@ func TestPermanentScenarioByteIdenticalToLegacy(t *testing.T) {
 	for _, tc := range cases {
 		for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismRW, cache.MechanismSRB} {
 			p := malardalen.MustGet(tc.bench)
-			legacy := Options{Cache: tc.cfg, Pfail: 1e-4, Mechanism: mech}
-			want, err := Analyze(p, legacy)
+			legacy := Query{Cache: tc.cfg, Pfail: 1e-4, Mechanism: mech}
+			want, err := Analyze(p, EngineOptions{}, legacy)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("%s/sets=%d/%v/workers=%d", tc.bench, tc.cfg.Sets, mech, workers)
-				opt := Options{Cache: tc.cfg, Scenario: fault.Permanent{Pfail: 1e-4}, Mechanism: mech, Workers: workers}
-				got, err := Analyze(p, opt)
+				q := Query{Cache: tc.cfg, Scenario: fault.Permanent{Pfail: 1e-4}, Mechanism: mech}
+				got, err := Analyze(p, EngineOptions{Workers: workers}, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,7 +78,7 @@ func TestPermanentScenarioByteIdenticalToLegacy(t *testing.T) {
 			}
 			// The legacy spelling resolves to the same scenario value.
 			if want.Scenario != (fault.Permanent{Pfail: 1e-4}) {
-				t.Fatalf("legacy options resolved to %v, want fault.Permanent", want.Scenario)
+				t.Fatalf("legacy query resolved to %v, want fault.Permanent", want.Scenario)
 			}
 		}
 	}
@@ -93,11 +93,11 @@ func TestCombinedDegeneratesToPermanent(t *testing.T) {
 	for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismRW, cache.MechanismSRB} {
 		for _, pf := range []float64{6.1e-13, 1e-4, 1e-3} {
 			label := fmt.Sprintf("%v pfail=%g", mech, pf)
-			want, err := Analyze(p, Options{Pfail: pf, Mechanism: mech})
+			want, err := Analyze(p, EngineOptions{}, Query{Pfail: pf, Mechanism: mech})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Analyze(p, Options{Scenario: fault.Combined{Pfail: pf}, Mechanism: mech})
+			got, err := Analyze(p, EngineOptions{}, Query{Scenario: fault.Combined{Pfail: pf}, Mechanism: mech})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,11 +122,11 @@ func TestCombinedDegeneratesToTransient(t *testing.T) {
 	for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismSRB} {
 		for _, la := range sweepLambdas {
 			label := fmt.Sprintf("%v lambda=%g", mech, la)
-			want, err := Analyze(p, Options{Scenario: fault.Transient{Lambda: la}, Mechanism: mech})
+			want, err := Analyze(p, EngineOptions{}, Query{Scenario: fault.Transient{Lambda: la}, Mechanism: mech})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Analyze(p, Options{Scenario: fault.Combined{Lambda: la}, Mechanism: mech})
+			got, err := Analyze(p, EngineOptions{}, Query{Scenario: fault.Combined{Lambda: la}, Mechanism: mech})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,12 +150,12 @@ func TestCombinedDegeneratesToTransient(t *testing.T) {
 // the mechanism at all.
 func TestTransientMechanismInvariant(t *testing.T) {
 	p := malardalen.MustGet("bs")
-	base, err := Analyze(p, Options{Scenario: fault.Transient{Lambda: 1e-9}, Mechanism: cache.MechanismNone})
+	base, err := Analyze(p, EngineOptions{}, Query{Scenario: fault.Transient{Lambda: 1e-9}, Mechanism: cache.MechanismNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mech := range []cache.Mechanism{cache.MechanismRW, cache.MechanismSRB} {
-		got, err := Analyze(p, Options{Scenario: fault.Transient{Lambda: 1e-9}, Mechanism: mech})
+		got, err := Analyze(p, EngineOptions{}, Query{Scenario: fault.Transient{Lambda: 1e-9}, Mechanism: mech})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestTransientMechanismInvariant(t *testing.T) {
 // fault-free WCET exactly.
 func TestTransientMonotoneInLambda(t *testing.T) {
 	p := malardalen.MustGet("crc")
-	zero, err := Analyze(p, Options{Scenario: fault.Transient{}})
+	zero, err := Analyze(p, EngineOptions{}, Query{Scenario: fault.Transient{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestTransientMonotoneInLambda(t *testing.T) {
 	}
 	prev := zero.PWCET
 	for _, la := range sweepLambdas {
-		r, err := Analyze(p, Options{Scenario: fault.Transient{Lambda: la}})
+		r, err := Analyze(p, EngineOptions{}, Query{Scenario: fault.Transient{Lambda: la}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,16 +217,10 @@ func TestEngineScenarioSweepByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, q := range queries {
-			solo, err := Analyze(p, Options{
-				Cache: q.Cache, Pfail: q.Pfail, Scenario: q.Scenario,
-				Mechanism: q.Mechanism, Workers: workers,
-			})
+			solo, err := Analyze(p, EngineOptions{Workers: workers}, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Options echoes differ (Workers is engine-wide); compare
-			// the analysis artifacts.
-			solo.Options = batch[i].Options
 			requireDeepEqualResult(t, fmt.Sprintf("workers=%d query %d (%+v)", workers, i, q), solo, batch[i])
 		}
 	}
@@ -323,49 +317,51 @@ func TestEngineTransientEvictionByteIdentical(t *testing.T) {
 
 // TestScenarioOptionErrors pins the option-validation surface of the
 // scenario layer: ambiguous spellings, invalid parameters, and the
-// permanent-only analysis modes.
+// permanent-only analysis modes. The oracle and the Engine validate
+// through one resolve, so each query fails with the same error
+// whichever runs it.
 func TestScenarioOptionErrors(t *testing.T) {
 	p := buildLoop(t)
 	dcfg := cache.Config{Sets: 4, Ways: 2, BlockBytes: 8, HitLatency: 1, MemLatency: 10}
 	cases := []struct {
 		label string
-		opt   Options
+		q     Query
 		want  string
 	}{
 		{"both pfail and scenario",
-			Options{Pfail: 1e-4, Scenario: fault.Transient{Lambda: 1e-9}},
+			Query{Pfail: 1e-4, Scenario: fault.Transient{Lambda: 1e-9}},
 			"use exactly one"},
 		{"negative lambda",
-			Options{Scenario: fault.Transient{Lambda: -1}},
+			Query{Scenario: fault.Transient{Lambda: -1}},
 			"lambda"},
 		{"combined pfail out of range",
-			Options{Scenario: fault.Combined{Pfail: 2, Lambda: 1e-9}},
+			Query{Scenario: fault.Combined{Pfail: 2, Lambda: 1e-9}},
 			"pfail"},
 		{"transient with PreciseSRB",
-			Options{Scenario: fault.Transient{Lambda: 1e-9}, Mechanism: cache.MechanismSRB, PreciseSRB: true},
+			Query{Scenario: fault.Transient{Lambda: 1e-9}, Mechanism: cache.MechanismSRB, PreciseSRB: true},
 			"permanent only"},
 		{"combined with data cache",
-			Options{Scenario: fault.Combined{Pfail: 1e-4, Lambda: 1e-9}, DataCache: &dcfg},
+			Query{Scenario: fault.Combined{Pfail: 1e-4, Lambda: 1e-9}, DataCache: &dcfg},
 			"permanent only"},
+		{"transient with PreciseSRB and data cache",
+			Query{Scenario: fault.Transient{Lambda: 1e-9}, Mechanism: cache.MechanismSRB, PreciseSRB: true, DataCache: &dcfg},
+			"not supported together with a data cache"},
 	}
 	for _, tc := range cases {
-		_, err := Analyze(p, tc.opt)
+		_, err := Analyze(p, EngineOptions{}, tc.q)
 		if err == nil {
-			t.Errorf("%s: Analyze accepted %+v", tc.label, tc.opt)
+			t.Errorf("%s: Analyze accepted %+v", tc.label, tc.q)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.label, err, tc.want)
 		}
-		// The engine path must reject the same spellings.
-		e, err := NewEngine(p, EngineOptions{})
-		if err != nil {
-			t.Fatal(err)
+		e, eerr := NewEngine(p, EngineOptions{})
+		if eerr != nil {
+			t.Fatal(eerr)
 		}
-		q := Query{Pfail: tc.opt.Pfail, Scenario: tc.opt.Scenario, Mechanism: tc.opt.Mechanism,
-			PreciseSRB: tc.opt.PreciseSRB, DataCache: tc.opt.DataCache}
-		if _, err := e.Analyze(q); err == nil {
-			t.Errorf("%s: engine accepted %+v", tc.label, q)
+		if _, eerr = e.Analyze(tc.q); eerr == nil || eerr.Error() != err.Error() {
+			t.Errorf("%s: engine error %v, oracle error %q", tc.label, eerr, err)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 func TestCoarsenStrategyValidation(t *testing.T) {
 	p := buildLoop(t)
-	if _, err := Analyze(p, Options{Pfail: 1e-4, Coarsen: dist.CoarsenStrategy(42)}); err == nil {
+	if _, err := Analyze(p, EngineOptions{}, Query{Pfail: 1e-4, Coarsen: dist.CoarsenStrategy(42)}); err == nil {
 		t.Error("unknown coarsening strategy accepted by Analyze")
 	}
 	e, err := NewEngine(p, EngineOptions{})
@@ -27,12 +27,12 @@ func TestCoarsenStrategyValidation(t *testing.T) {
 	if _, err := e.Analyze(Query{Pfail: 1e-4, Coarsen: dist.CoarsenStrategy(42)}); err == nil {
 		t.Error("unknown coarsening strategy accepted by Engine.Analyze")
 	}
-	r, err := Analyze(p, Options{Pfail: 1e-4, Coarsen: dist.CoarsenKeepHeaviest})
+	r, err := Analyze(p, EngineOptions{}, Query{Pfail: 1e-4, Coarsen: dist.CoarsenKeepHeaviest})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Options.Coarsen != dist.CoarsenKeepHeaviest {
-		t.Errorf("Result.Options does not echo the strategy: %v", r.Options.Coarsen)
+	if r.Query.Coarsen != dist.CoarsenKeepHeaviest {
+		t.Errorf("Result.Query does not echo the strategy: %v", r.Query.Coarsen)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestEngineCoarsenStrategyNoAliasing(t *testing.T) {
 	// Construction check: with an unbinding cap the penalty support
 	// must exceed bindingMaxSupport, otherwise the strategies cannot
 	// diverge and this test would vacuously pass.
-	wide, err := Analyze(p, Options{Pfail: 1e-3})
+	wide, err := Analyze(p, EngineOptions{}, Query{Pfail: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +122,10 @@ func TestEngineCoarsenStrategyNoAliasing(t *testing.T) {
 	// Both remain sound upper bounds of the unbinding-cap distribution.
 	for _, r := range []*Result{le1, kh} {
 		if !wide.Penalty.DominatedBy(r.Penalty, 1e-12) {
-			t.Errorf("%v penalty does not dominate the unbinding-cap penalty", r.Options.Coarsen)
+			t.Errorf("%v penalty does not dominate the unbinding-cap penalty", r.Query.Coarsen)
 		}
 		if r.PWCET < wide.PWCET {
-			t.Errorf("%v pWCET %d below the unbinding-cap pWCET %d", r.Options.Coarsen, r.PWCET, wide.PWCET)
+			t.Errorf("%v pWCET %d below the unbinding-cap pWCET %d", r.Query.Coarsen, r.PWCET, wide.PWCET)
 		}
 	}
 }
@@ -154,7 +154,7 @@ func TestEngineBatchByteIdenticalUnderStrategies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, q := range queries {
-			solo, err := Analyze(p, q.options(0))
+			solo, err := Analyze(p, EngineOptions{}, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,18 +170,18 @@ func TestEngineBatchByteIdenticalUnderStrategies(t *testing.T) {
 func TestCoarsenStrategiesAgreeWhenCapDoesNotBind(t *testing.T) {
 	p := progen.Random(rand.New(rand.NewSource(8)), progen.DefaultParams())
 	for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismSRB} {
-		le, err := Analyze(p, Options{Pfail: 1e-3, Mechanism: mech, Coarsen: dist.CoarsenLeastError})
+		le, err := Analyze(p, EngineOptions{}, Query{Pfail: 1e-3, Mechanism: mech, Coarsen: dist.CoarsenLeastError})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if le.Penalty.Len() >= DefaultMaxSupport {
 			t.Fatalf("test construction: penalty support %d reaches the default cap", le.Penalty.Len())
 		}
-		kh, err := Analyze(p, Options{Pfail: 1e-3, Mechanism: mech, Coarsen: dist.CoarsenKeepHeaviest})
+		kh, err := Analyze(p, EngineOptions{}, Query{Pfail: 1e-3, Mechanism: mech, Coarsen: dist.CoarsenKeepHeaviest})
 		if err != nil {
 			t.Fatal(err)
 		}
-		kh.Options.Coarsen = le.Options.Coarsen // the echoed option is the one intended difference
+		kh.Query.Coarsen = le.Query.Coarsen // the echoed option is the one intended difference
 		requireDeepEqualResult(t, fmt.Sprintf("unbinding cap %v", mech), le, kh)
 	}
 }

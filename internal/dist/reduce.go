@@ -151,7 +151,7 @@ func buildMergePlan(ds []*Dist, maxSupport int) []mergeStep {
 // ConvolveAllExact is the retained reference reduction — same
 // canonical order and merge plan, no sharing, no in-tree coarsening —
 // byte-identical to this one whenever no coarsening binds
-// (core.Options.ExactConvolve routes the pipeline through it for
+// (core.EngineOptions.ExactConvolve routes the pipeline through it for
 // differential validation).
 func ConvolveAllWith(ds []*Dist, maxSupport, workers int, strategy CoarsenStrategy) *Dist {
 	d, err := ConvolveAllCancelWith(ds, maxSupport, workers, strategy, nil)

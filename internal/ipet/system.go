@@ -265,6 +265,3 @@ func (s *System) WriteLP(w io.Writer, weights []float64, constant float64) error
 
 // NumVars returns the number of ILP variables (edges + source + sink).
 func (s *System) NumVars() int { return s.numVars }
-
-// NumConstraints returns the number of ILP constraints.
-func (s *System) NumConstraints() int { return len(s.cons) }

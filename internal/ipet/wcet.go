@@ -118,11 +118,12 @@ type FMMOptions struct {
 	// Analyzer.ClassifySRB); required when Mechanism is MechanismSRB.
 	SRBHit []bool
 	// PreciseSRB switches the f = W column of each set to the precise
-	// per-set SRB analysis (Analyzer.ClassifySRBForSet): the SRB is
-	// treated as a one-way cache private to the set, which assumes the
-	// set is the only fully faulty one. The resulting FMM is only sound
-	// for fault maps with at most one fully faulty set; see the mixture
-	// bound in internal/core.
+	// per-set SRB analysis: the set's references are classified at
+	// associativity 1 (ClassifySetByAssocInto), because the SRB behaves
+	// as a one-way cache private to the set when the set is the only
+	// fully faulty one. The resulting FMM is only sound for fault maps
+	// with at most one fully faulty set; see the mixture bound in
+	// internal/core.
 	PreciseSRB bool
 	// ConservativeFM disables the first-miss constant credits (the
 	// "-1 per run" terms), reverting to the plainly conservative
@@ -132,7 +133,7 @@ type FMMOptions struct {
 	// OnlyWholeSetColumn computes only the f = W column, leaving the
 	// others zero. The f < W columns are mechanism-independent, so
 	// callers comparing mechanisms can compute them once and splice
-	// (core.AnalyzeAll does).
+	// (the core Engine's fmmArtifact does).
 	OnlyWholeSetColumn bool
 	// Workers bounds the number of goroutines solving per-set ILPs
 	// concurrently (sets are independent). 0 means GOMAXPROCS; 1 is

@@ -57,7 +57,7 @@ func TestGoldenResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := pwcet.AnalyzeAll(p, pwcet.Options{Pfail: 1e-4})
+			results, err := pwcet.AnalyzeAll(p, pwcet.Query{Pfail: 1e-4})
 			if err != nil {
 				t.Fatal(err)
 			}

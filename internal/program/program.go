@@ -129,14 +129,6 @@ func (p *Program) CodeBytes() int { return p.NumInstructions() * InstrBytes }
 // Block returns the block with the given ID.
 func (p *Program) Block(id int) *Block { return p.Blocks[id] }
 
-// LoopOf returns the innermost loop containing block id, or nil.
-func (p *Program) LoopOf(id int) *Loop {
-	if l := p.Blocks[id].Loop; l >= 0 {
-		return p.Loops[l]
-	}
-	return nil
-}
-
 // Validate checks structural invariants of the assembled program. A nil
 // return guarantees the CFG is usable by the analyses: consistent edges,
 // reachable exit, positive bounds, headers with exactly two successors.

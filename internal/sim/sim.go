@@ -55,7 +55,7 @@ type Report struct {
 // entirely faulty set (its soundness precondition), the tighter precise
 // FMM is used.
 func PenaltyBound(res *core.Result, fm cache.FaultMap) int64 {
-	cfg := res.Options.Cache
+	cfg := res.Query.Cache
 	fmm := res.FMM
 	if res.FMMPrecise != nil {
 		full := 0
@@ -71,7 +71,7 @@ func PenaltyBound(res *core.Result, fm cache.FaultMap) int64 {
 	var bound int64
 	for s := 0; s < cfg.Sets; s++ {
 		f := fm.NumFaulty(s)
-		if res.Options.Mechanism == cache.MechanismRW && fm[s][0] {
+		if res.Query.Mechanism == cache.MechanismRW && fm[s][0] {
 			f-- // the reliable way masks its own fault (Section III.B.1)
 		}
 		bound += fmm[s][f] * cfg.MissPenalty()
@@ -80,13 +80,13 @@ func PenaltyBound(res *core.Result, fm cache.FaultMap) int64 {
 }
 
 // DataPenaltyBound returns the analytical data-cache penalty bound of a
-// concrete data-cache fault map (analyses with Options.DataCache only).
+// concrete data-cache fault map (analyses with Query.DataCache only).
 func DataPenaltyBound(res *core.Result, dfm cache.FaultMap) int64 {
-	dcfg := *res.Options.DataCache
+	dcfg := *res.Query.DataCache
 	var bound int64
 	for s := 0; s < dcfg.Sets; s++ {
 		f := dfm.NumFaulty(s)
-		if res.Options.Mechanism == cache.MechanismRW && dfm[s][0] {
+		if res.Query.Mechanism == cache.MechanismRW && dfm[s][0] {
 			f--
 		}
 		bound += res.DataFMM[s][f] * dcfg.MissPenalty()
@@ -103,7 +103,7 @@ func Validate(p *program.Program, res *core.Result, samples, pathsPerSample int,
 	if samples < 1 || pathsPerSample < 1 {
 		return nil, fmt.Errorf("sim: need at least one sample and one path")
 	}
-	cfg := res.Options.Cache
+	cfg := res.Query.Cache
 	rng := rand.New(rand.NewSource(seed))
 	rep := &Report{Samples: samples, PathsPerSample: pathsPerSample}
 
@@ -115,7 +115,7 @@ func Validate(p *program.Program, res *core.Result, samples, pathsPerSample int,
 		bound := res.FaultFreeWCET + PenaltyBound(res, fm)
 		var dfm cache.FaultMap
 		if res.DataFMM != nil {
-			dfm = res.DataModel.SampleFaultMap(rng, *res.Options.DataCache)
+			dfm = res.DataModel.SampleFaultMap(rng, *res.Query.DataCache)
 			bound += DataPenaltyBound(res, dfm)
 		}
 		penalties = append(penalties, bound-res.FaultFreeWCET)
@@ -129,8 +129,8 @@ func Validate(p *program.Program, res *core.Result, samples, pathsPerSample int,
 				if err != nil {
 					return nil, err
 				}
-				isim := cache.NewSim(cfg, res.Options.Mechanism, fm)
-				dsim := cache.NewSim(*res.Options.DataCache, res.Options.Mechanism, dfm)
+				isim := cache.NewSim(cfg, res.Query.Mechanism, fm)
+				dsim := cache.NewSim(*res.Query.DataCache, res.Query.Mechanism, dfm)
 				for _, acc := range accesses {
 					if acc.Data {
 						dsim.Access(acc.Addr)
@@ -144,7 +144,7 @@ func Validate(p *program.Program, res *core.Result, samples, pathsPerSample int,
 				if err != nil {
 					return nil, err
 				}
-				s := cache.NewSim(cfg, res.Options.Mechanism, fm)
+				s := cache.NewSim(cfg, res.Query.Mechanism, fm)
 				s.AccessAll(tr)
 				time = s.Time
 			}
@@ -195,7 +195,7 @@ func Validate(p *program.Program, res *core.Result, samples, pathsPerSample int,
 // FMM's soundness. Returns the number of bound violations (0 for a
 // sound analysis).
 func ValidateAdversarial(p *program.Program, res *core.Result, pathsPerMap int, seed int64) (int, error) {
-	cfg := res.Options.Cache
+	cfg := res.Query.Cache
 	if res.DataFMM != nil {
 		return 0, fmt.Errorf("sim: adversarial validation does not support data caches")
 	}
@@ -256,7 +256,7 @@ func ValidateAdversarial(p *program.Program, res *core.Result, pathsPerMap int, 
 			if err != nil {
 				return violations, err
 			}
-			s := cache.NewSim(cfg, res.Options.Mechanism, fm)
+			s := cache.NewSim(cfg, res.Query.Mechanism, fm)
 			s.AccessAll(tr)
 			if s.Time > bound {
 				violations++

@@ -20,7 +20,7 @@ func validateBench(t *testing.T, name string, mech cache.Mechanism) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(p, core.Options{
+	res, err := core.Analyze(p, core.EngineOptions{}, core.Query{
 		Pfail:     2e-3, // pbf ~ 23%: faults are frequent in samples
 		Mechanism: mech,
 	})
@@ -78,7 +78,7 @@ func TestValidateRandomPrograms(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := progen.Random(rng, progen.DefaultParams())
 		for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismRW, cache.MechanismSRB} {
-			res, err := core.Analyze(p, core.Options{Cache: cfg, Pfail: 5e-3, Mechanism: mech})
+			res, err := core.Analyze(p, core.EngineOptions{}, core.Query{Cache: cfg, Pfail: 5e-3, Mechanism: mech})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestValidatePreciseSRB(t *testing.T) {
 		}
 		// Very high pbf so that fully-faulty sets (and occasionally
 		// several of them) occur in the samples.
-		res, err := core.Analyze(p, core.Options{
+		res, err := core.Analyze(p, core.EngineOptions{}, core.Query{
 			Pfail:      6e-3, // pbf ~ 54%
 			Mechanism:  cache.MechanismSRB,
 			PreciseSRB: true,
@@ -140,7 +140,7 @@ func TestValidateWithDataCache(t *testing.T) {
 	p := b.MustBuild()
 	dcfg := cache.Config{Sets: 4, Ways: 2, BlockBytes: 8, HitLatency: 1, MemLatency: 10}
 	for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismRW, cache.MechanismSRB} {
-		res, err := core.Analyze(p, core.Options{
+		res, err := core.Analyze(p, core.EngineOptions{}, core.Query{
 			Cache:     cache.Config{Sets: 4, Ways: 2, BlockBytes: 8, HitLatency: 1, MemLatency: 10},
 			Pfail:     5e-3,
 			Mechanism: mech,
@@ -167,11 +167,11 @@ func TestPenaltyBoundRWMasksWayZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(p, core.Options{Pfail: 1e-4, Mechanism: cache.MechanismRW})
+	res, err := core.Analyze(p, core.EngineOptions{}, core.Query{Pfail: 1e-4, Mechanism: cache.MechanismRW})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := res.Options.Cache
+	cfg := res.Query.Cache
 	// Fault only in way 0 of each set: fully masked by the RW.
 	fm := cache.NewFaultMap(cfg.Sets, cfg.Ways)
 	for s := range fm {
@@ -195,7 +195,7 @@ func TestAdversarialFaultMaps(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := core.Analyze(p, core.Options{Pfail: 1e-4, Mechanism: mech})
+				res, err := core.Analyze(p, core.EngineOptions{}, core.Query{Pfail: 1e-4, Mechanism: mech})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -217,7 +217,7 @@ func TestAdversarialRandomPrograms(t *testing.T) {
 		rng := rand.New(rand.NewSource(700 + seed))
 		p := progen.Random(rng, progen.DefaultParams())
 		for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismSRB} {
-			res, err := core.Analyze(p, core.Options{Cache: cfg, Pfail: 1e-3, Mechanism: mech})
+			res, err := core.Analyze(p, core.EngineOptions{}, core.Query{Cache: cfg, Pfail: 1e-3, Mechanism: mech})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +234,7 @@ func TestAdversarialRandomPrograms(t *testing.T) {
 
 func TestValidateArgChecks(t *testing.T) {
 	p, _ := malardalen.Get("bs")
-	res, err := core.Analyze(p, core.Options{Pfail: 1e-4})
+	res, err := core.Analyze(p, core.EngineOptions{}, core.Query{Pfail: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}

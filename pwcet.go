@@ -37,9 +37,9 @@
 // target share one penalty distribution, weighted and convolved once
 // and read off at each member's target. Every result stays
 // byte-identical to a solo Analyze of its query.
-// Engine.AnalyzeBatchStream and Engine.AnalyzeBatchChan stream indexed
-// results as they complete. For a single configuration, the one-shot
-// Analyze and AnalyzeAll helpers wrap a throwaway Engine.
+// Engine.AnalyzeBatchStream and Engine.AnalyzeBatchChanContext stream
+// indexed results as they complete. For a single configuration, the
+// one-shot Analyze and AnalyzeAll helpers wrap a throwaway Engine.
 //
 // The paper's 25-benchmark Mälardalen evaluation is available through
 // Benchmarks and Benchmark; cmd/paperfigs regenerates every figure and
@@ -47,8 +47,8 @@
 //
 // # Fault models
 //
-// The fault environment of an analysis is a Scenario
-// (Options.Scenario / Query.Scenario), one of:
+// The fault environment of an analysis is a Scenario (Query.Scenario),
+// one of:
 //
 //   - Permanent{Pfail}: the paper's model — every SRAM cell fails at
 //     boot with probability Pfail and stays failed. A nil Scenario
@@ -80,9 +80,9 @@
 //
 // The per-set stages of an analysis — the fault-miss-map ILP solves
 // and the penalty convolution — are independent across cache sets and
-// run on a bounded worker pool controlled by EngineOptions.Workers /
-// Options.Workers (0 uses GOMAXPROCS, 1 forces fully sequential
-// execution; cmd/pwcet exposes it as -workers). Engine batches
+// run on a bounded worker pool controlled by EngineOptions.Workers (0
+// uses GOMAXPROCS, 1 forces fully sequential execution; cmd/pwcet
+// exposes it as -workers). Engine batches
 // additionally schedule whole queries over the same pool. The results
 // are byte-identical for every worker count and batch order: each
 // set's ILPs are solved on a private simplex restored to the same
@@ -95,10 +95,10 @@
 // pWCET. Parallelism changes wall-clock time, never results.
 //
 // The optimized hot paths keep differential escape hatches:
-// Options.Reference re-runs an analysis on the retained dense
-// simplex and map-based abstract domain, and Options.ExactConvolve
-// routes the penalty reduction through the exact convolution fold
-// (no shared-subtree reuse, no in-tree coarsening) — both exist to
+// EngineOptions.Reference re-runs an analysis on the retained dense
+// simplex and map-based abstract domain, and EngineOptions.ExactConvolve
+// routes the penalty reduction through the exact convolution fold (no
+// shared-subtree reuse, no in-tree coarsening) — both exist to
 // validate the fast paths, which the differential suites pin
 // byte-identical (exactly, or whenever the support cap does not
 // bind, respectively).
@@ -176,14 +176,14 @@ type (
 	// queries only pay for the cheap probability weighting. Safe for
 	// concurrent use; results are byte-identical to one-shot Analyze.
 	Engine = core.Engine
-	// EngineOptions configures an Engine (worker pool, artifact memory
-	// budget, instrumentation hook).
+	// EngineOptions configures an Engine session (worker pool, artifact
+	// memory budget, instrumentation hook, reference escape hatches).
 	EngineOptions = core.EngineOptions
 	// MemStats reports an Engine's memoized-artifact residency and
 	// lookup counters; see Engine.MemStats.
 	MemStats = core.MemStats
-	// Query selects one configuration (cache, pfail, mechanism, target)
-	// to analyze against an Engine's program.
+	// Query selects one analysis configuration (cache, fault scenario,
+	// mechanism, target, support cap).
 	Query = core.Query
 	// BatchResult is one indexed outcome of a streaming batch.
 	BatchResult = core.BatchResult
@@ -198,8 +198,6 @@ type (
 	Mechanism = cache.Mechanism
 	// FaultMap records which cache blocks are permanently faulty.
 	FaultMap = cache.FaultMap
-	// Options configures an analysis (cache, pfail, mechanism, target).
-	Options = core.Options
 	// Result is the outcome of one pWCET analysis.
 	Result = core.Result
 	// PanicError wraps a panic recovered inside an analysis; the
@@ -210,7 +208,7 @@ type (
 	// Point is one (value, probability) atom of a distribution.
 	Point = dist.Point
 	// CoarsenStrategy selects how over-cap penalty supports are
-	// coarsened (Options.Coarsen / Query.Coarsen). Both strategies are
+	// coarsened (Query.Coarsen). Both strategies are
 	// sound exceedance upper bounds; see CoarsenLeastError and
 	// CoarsenKeepHeaviest.
 	CoarsenStrategy = dist.CoarsenStrategy
@@ -224,7 +222,7 @@ type (
 	// probability (calibrated against the paper's low-voltage citation).
 	VoltageModel = fault.VoltageModel
 	// Scenario is a composable description of the fault environment
-	// (Options.Scenario / Query.Scenario); see the "Fault models"
+	// (Query.Scenario); see the "Fault models"
 	// section of the package documentation.
 	Scenario = fault.Scenario
 	// Permanent is the paper's fault scenario: SRAM cells fail at boot
@@ -330,36 +328,22 @@ func NewEngine(p *Program, opt EngineOptions) (*Engine, error) {
 	return core.NewEngine(p, opt)
 }
 
-// Analyze runs the pWCET analysis of a program under the given options.
-// It is a thin wrapper over a throwaway Engine; callers analyzing the
-// same program more than once should hold an Engine instead.
-func Analyze(p *Program, opt Options) (*Result, error) {
-	e, err := core.NewEngine(p, EngineOptions{
-		Workers:       opt.Workers,
-		Reference:     opt.Reference,
-		ExactConvolve: opt.ExactConvolve,
-	})
+// Analyze runs the pWCET analysis of a program under one query, on a
+// throwaway Engine with default options; callers analyzing the same
+// program more than once should hold an Engine instead.
+func Analyze(p *Program, q Query) (*Result, error) {
+	e, err := core.NewEngine(p, EngineOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return e.Analyze(core.Query{
-		Cache:            opt.Cache,
-		Pfail:            opt.Pfail,
-		Scenario:         opt.Scenario,
-		Mechanism:        opt.Mechanism,
-		TargetExceedance: opt.TargetExceedance,
-		MaxSupport:       opt.MaxSupport,
-		Coarsen:          opt.Coarsen,
-		PreciseSRB:       opt.PreciseSRB,
-		DataCache:        opt.DataCache,
-	})
+	return e.Analyze(q)
 }
 
 // AnalyzeAll analyzes a program under all three architectures (none, RW,
-// SRB) with otherwise identical options, as one shared-work Engine
-// batch.
-func AnalyzeAll(p *Program, opt Options) (map[Mechanism]*Result, error) {
-	return core.AnalyzeAll(p, opt)
+// SRB) with an otherwise identical query, as one shared-work batch of a
+// throwaway Engine with default options.
+func AnalyzeAll(p *Program, q Query) (map[Mechanism]*Result, error) {
+	return core.AnalyzeAll(p, EngineOptions{}, q)
 }
 
 // Gain returns the relative pWCET reduction of protected vs baseline.

@@ -14,14 +14,14 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pwcet.Analyze(p, pwcet.Options{Pfail: 1e-4, Mechanism: pwcet.RW})
+	res, err := pwcet.Analyze(p, pwcet.Query{Pfail: 1e-4, Mechanism: pwcet.RW})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.FaultFreeWCET <= 0 || res.PWCET < res.FaultFreeWCET {
 		t.Errorf("implausible WCETs: fault-free %d, pWCET %d", res.FaultFreeWCET, res.PWCET)
 	}
-	if res.Options.Cache != pwcet.PaperCache() {
+	if res.Query.Cache != pwcet.PaperCache() {
 		t.Error("default cache is not the paper configuration")
 	}
 }
@@ -63,7 +63,7 @@ func TestPaperShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := pwcet.AnalyzeAll(p, pwcet.Options{Pfail: 1e-4})
+		results, err := pwcet.AnalyzeAll(p, pwcet.Query{Pfail: 1e-4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestFig3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := pwcet.AnalyzeAll(p, pwcet.Options{Pfail: 1e-4})
+	results, err := pwcet.AnalyzeAll(p, pwcet.Query{Pfail: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestValidatePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pwcet.Analyze(p, pwcet.Options{Pfail: 2e-3, Mechanism: pwcet.SRB})
+	res, err := pwcet.Analyze(p, pwcet.Query{Pfail: 2e-3, Mechanism: pwcet.SRB})
 	if err != nil {
 		t.Fatal(err)
 	}
