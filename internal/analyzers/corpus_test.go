@@ -73,7 +73,7 @@ func TestRefPurityCorpus(t *testing.T) {
 		[]*Analyzer{RefPurity([]RefPurityRule{{
 			PkgPath:   "example.com/refpurity",
 			Root:      regexp.MustCompile(`^Reference|\.Reference`),
-			Forbidden: regexp.MustCompile(`^FastSum$|^Engine\.fastRun$`),
+			Forbidden: regexp.MustCompile(`^Fast(Sum|Pick)$|^Engine\.fastRun$`),
 		}})})
 }
 

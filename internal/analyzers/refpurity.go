@@ -142,7 +142,15 @@ func funcIdentity(pass *Pass, fd *ast.FuncDecl) string {
 // cross-package ones, "" for calls that cannot be resolved statically
 // (function values, interface methods).
 func calleeIdentity(pass *Pass, call *ast.CallExpr) string {
-	switch fun := call.Fun.(type) {
+	fun := call.Fun
+	// An explicitly instantiated generic call, f[T](...), calls f.
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		if fn, ok := pass.Info.Uses[fun].(*types.Func); ok {
 			return typesFuncIdentity(pass, fn)

@@ -1,5 +1,5 @@
 // Corpus for the refpurity analyzer, run with a rule where functions
-// matching ^Reference must not call FastSum or Engine.fastRun.
+// matching ^Reference must not call FastSum, FastPick or Engine.fastRun.
 package refpurity
 
 // FastSum is the "optimized path" of this corpus.
@@ -28,6 +28,17 @@ func ReferenceSum(xs []int) int {
 // ReferencePure is a root that stays on its own helpers — not flagged.
 func ReferencePure(xs []int) int {
 	return slowSum(xs)
+}
+
+// FastPick is a generic optimized path.
+func FastPick[T any](xs []T) T { return xs[0] }
+
+// ReferencePick calls the generic optimized path with inferred and with
+// explicit type arguments — both flagged.
+func ReferencePick(xs []int) int {
+	a := FastPick(xs)      // want `reference implementation ReferencePick calls optimized path FastPick`
+	b := FastPick[int](xs) // want `reference implementation ReferencePick calls optimized path FastPick`
+	return a + b
 }
 
 // Caller is not a root: it may call the optimized path freely.
