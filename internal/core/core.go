@@ -563,7 +563,7 @@ func foldPenalty(acc, total *dist.Dist, maxSupport int, strategy dist.CoarsenStr
 	if _, ok := addCycles(acc.Max(), total.Max()); !ok {
 		return nil, fmt.Errorf("core: penalty fold (%d + %d) overflows int64", acc.Max(), total.Max())
 	}
-	return acc.Convolve(total).CoarsenToWith(maxSupport, strategy), nil
+	return acc.ConvolveCoarsen(total, maxSupport, strategy), nil
 }
 
 // addCycles returns a+b and whether it fits int64.

@@ -141,25 +141,63 @@ func (d *Dist) CoarsenTo(maxSupport int) *Dist {
 // the receiver unchanged when maxSupport <= 0 (cap disabled) or the
 // support already fits, and panics on an unknown strategy (callers
 // exposing the strategy as configuration should Validate it first).
+// The least-error engine works in a pooled scratch.
 func (d *Dist) CoarsenToWith(maxSupport int, strategy CoarsenStrategy) *Dist {
-	if maxSupport <= 0 || len(d.values) <= maxSupport {
+	c := coarsening{target: maxSupport, strategy: strategy}
+	if !c.binds(len(d.values)) {
 		return d
 	}
-	switch strategy {
-	case CoarsenLeastError:
-		return d.coarsenLeastError(maxSupport)
-	case CoarsenKeepHeaviest:
-		return d.coarsenKeepHeaviest(maxSupport)
-	default:
-		panic(fmt.Sprintf("dist: CoarsenToWith: %v", strategy.Validate()))
+	if strategy == CoarsenKeepHeaviest {
+		return coarsenKeepHeaviest(d.values, d.probs, maxSupport)
 	}
+	s := getScratch()
+	out := s.coarsen(d, c)
+	s.put()
+	return out
 }
 
-// coarsenLeastError implements CoarsenLeastError: the capped engine
-// with the span cap disabled, which makes every candidate eligible and
-// reproduces the classic greedy least-error merge bit for bit.
-func (d *Dist) coarsenLeastError(target int) *Dist {
-	return d.coarsenLeastErrorCapped(target, math.Inf(1))
+// coarsening says how a kernel coarsens a support over the cap: to at
+// most target atoms with strategy, or, when spanCap is set, with the
+// least-error engine under the span cap softMaxGap(values, target) (the
+// armed nodes of ConvolveAllWith's in-tree mode). target <= 0 disables
+// the cap.
+type coarsening struct {
+	target   int
+	strategy CoarsenStrategy
+	spanCap  bool
+}
+
+// binds reports whether a support of n atoms is over the cap.
+func (c coarsening) binds(n int) bool { return c.target > 0 && n > c.target }
+
+// coarsen returns d coarsened by c, or d itself when the cap does not
+// bind. The least-error engine merges a copy of d's masses in s.
+func (s *scratch) coarsen(d *Dist, c coarsening) *Dist {
+	if !c.binds(len(d.values)) {
+		return d
+	}
+	if c.strategy == CoarsenKeepHeaviest && !c.spanCap {
+		return coarsenKeepHeaviest(d.values, d.probs, c.target)
+	}
+	mass := grow(&s.probs, len(d.probs))
+	copy(mass, d.probs)
+	return s.coarsenAtoms(d.values, mass, c)
+}
+
+// coarsenAtoms coarsens the over-cap atoms (values, mass) by c. The
+// least-error engine merges mass in place, so mass must be scratch
+// memory or otherwise the caller's to overwrite.
+func (s *scratch) coarsenAtoms(values []int64, mass []float64, c coarsening) *Dist {
+	switch {
+	case c.spanCap:
+		return s.coarsenLeastErrorCapped(values, mass, c.target, softMaxGap(values, c.target))
+	case c.strategy == CoarsenLeastError:
+		return s.coarsenLeastErrorCapped(values, mass, c.target, math.Inf(1))
+	case c.strategy == CoarsenKeepHeaviest:
+		return coarsenKeepHeaviest(values, mass, c.target)
+	default:
+		panic(fmt.Sprintf("dist: CoarsenToWith: %v", c.strategy.Validate()))
+	}
 }
 
 // coarsenLeastErrorCapped is the greedy least-error merge engine. The
@@ -221,17 +259,21 @@ func (d *Dist) coarsenLeastError(target int) *Dist {
 //     when none is left, so it merges at least ⌈s/3⌉ pairs, s = min(r,
 //     eligible pairs). That gives O(log n) phases and O(n log n) work in
 //     the worst case. Under pwcetcheck each phase asserts this bound.
-func (d *Dist) coarsenLeastErrorCapped(target int, maxGap float64) *Dist {
-	n := int32(len(d.values))
+func (s *scratch) coarsenLeastErrorCapped(values []int64, mass []float64, target int, maxGap float64) *Dist {
+	n := int32(len(values))
 	inf := math.Inf(1)
-	mass := make([]float64, n)
-	copy(mass, d.probs)
-	low := make([]float64, n) // smallest original value folded into atom i
-	for i, v := range d.values {
-		low[i] = float64(v)
+	// low[i] is the smallest original value folded into atom i. Without
+	// a span cap no merge is ever frozen by it, so it is not kept.
+	capped := maxGap < inf
+	var low []float64
+	if capped {
+		low = grow(&s.low, int(n))
+		for i, v := range values {
+			low[i] = float64(v)
+		}
 	}
-	next := make([]int32, n)
-	prev := make([]int32, n)
+	next := grow(&s.next, int(n))
+	prev := grow(&s.prev, int(n))
 	for i := range next {
 		next[i] = int32(i + 1)
 		prev[i] = int32(i - 1)
@@ -244,18 +286,20 @@ func (d *Dist) coarsenLeastErrorCapped(target int, maxGap float64) *Dist {
 		if j == n {
 			return inf
 		}
-		vj := float64(d.values[j])
-		if vj-low[i] > maxGap {
+		vj := float64(values[j])
+		if capped && vj-low[i] > maxGap {
 			return inf // run span cap: this merge would travel too far
 		}
-		return mass[i] * (vj - float64(d.values[i]))
+		return mass[i] * (vj - float64(values[i]))
 	}
-	key := make([]float64, n)
+	key := grow(&s.key, int(n))
 	for i := range key {
 		key[i] = keyOf(int32(i))
 	}
-	sel := make([]float64, 0, n)
-	work := make([]int32, 0, n)
+	// sel never outgrows n; work can, and then appends to an array of
+	// its own that the scratch does not keep.
+	sel := grow(&s.sel, int(n))[:0]
+	work := grow(&s.work, int(n))[:0]
 	// The phase threshold: bound is K, and cut the last pair whose key
 	// equals K that the phase takes. Pair i is at or below the threshold
 	// when (key[i], i) <= (bound, cut) in lexicographic order.
@@ -283,7 +327,7 @@ func (d *Dist) coarsenLeastErrorCapped(target int, maxGap float64) *Dist {
 			break
 		}
 		r := alive - target
-		s := min(r, len(sel))
+		steps := min(r, len(sel))
 		bound, cut = inf, -1
 		if r < len(sel) {
 			var ties int
@@ -311,7 +355,7 @@ func (d *Dist) coarsenLeastErrorCapped(target int, maxGap float64) *Dist {
 			}
 			p, j := prev[i], next[i]
 			mass[j] += mass[i]
-			if low[i] < low[j] {
+			if capped && low[i] < low[j] {
 				low[j] = low[i]
 			}
 			key[i] = inf
@@ -334,22 +378,23 @@ func (d *Dist) coarsenLeastErrorCapped(target int, maxGap float64) *Dist {
 			alive--
 			merged++
 		}
-		if checkEnabled && (merged < (s+2)/3 || merged > s) {
-			panic(fmt.Sprintf("pwcetcheck: coarsenLeastErrorCapped: a phase merged %d pairs, want %d..%d", merged, (s+2)/3, s))
+		if checkEnabled && (merged < (steps+2)/3 || merged > steps) {
+			panic(fmt.Sprintf("pwcetcheck: coarsenLeastErrorCapped: a phase merged %d pairs, want %d..%d", merged, (steps+2)/3, steps))
 		}
 	}
-	values := make([]int64, 0, alive)
-	probs := make([]float64, 0, alive)
+	vs := make([]int64, 0, alive)
+	ps := make([]float64, 0, alive)
 	for i := head; i < n; i = next[i] {
-		values = append(values, d.values[i])
-		probs = append(probs, mass[i])
+		vs = append(vs, values[i])
+		ps = append(ps, mass[i])
 	}
-	out := fromSorted(values, probs)
 	if alive > target {
 		// The span cap left no eligible pair early: finish uncapped on
-		// the survivors so the support bound always holds.
-		out = out.coarsenLeastError(target)
+		// the survivors so the support bound always holds. ps is the
+		// survivors' own copy, so that pass merges it in place.
+		return s.coarsenLeastErrorCapped(vs, ps, target, inf)
 	}
+	out := fromSorted(vs, ps)
 	if checkEnabled && out.Len() > target {
 		panic(fmt.Sprintf("pwcetcheck: coarsenLeastErrorCapped: %d atoms, want at most %d", out.Len(), target))
 	}
@@ -501,11 +546,11 @@ func (d *Dist) coarsenSoft(target int, budget, maxGap float64) (*Dist, float64) 
 	return fromSorted(values, probs), spent
 }
 
-// coarsenKeepHeaviest implements CoarsenKeepHeaviest: rank atoms by
-// mass, keep the maxSupport heaviest, and merge every dropped atom
-// upward into the next retained atom.
-func (d *Dist) coarsenKeepHeaviest(maxSupport int) *Dist {
-	n := len(d.values)
+// coarsenKeepHeaviest implements CoarsenKeepHeaviest on the atoms
+// (values, probs): rank atoms by mass, keep the maxSupport heaviest, and
+// merge every dropped atom upward into the next retained atom.
+func coarsenKeepHeaviest(values []int64, probs []float64, maxSupport int) *Dist {
+	n := len(values)
 	// Rank atoms by mass, excluding the maximum (index n-1), which is
 	// always retained so upward merges never lack a destination. Ties
 	// break by index for determinism.
@@ -514,8 +559,8 @@ func (d *Dist) coarsenKeepHeaviest(maxSupport int) *Dist {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		if d.probs[order[a]] != d.probs[order[b]] {
-			return d.probs[order[a]] < d.probs[order[b]]
+		if probs[order[a]] != probs[order[b]] {
+			return probs[order[a]] < probs[order[b]]
 		}
 		return order[a] < order[b]
 	})
@@ -523,17 +568,17 @@ func (d *Dist) coarsenKeepHeaviest(maxSupport int) *Dist {
 	for _, i := range order[:n-maxSupport] {
 		drop[i] = true
 	}
-	values := make([]int64, 0, maxSupport)
-	probs := make([]float64, 0, maxSupport)
+	vs := make([]int64, 0, maxSupport)
+	ps := make([]float64, 0, maxSupport)
 	var carry float64 // mass of dropped atoms awaiting the next kept atom
 	for i := 0; i < n; i++ {
 		if drop[i] {
-			carry += d.probs[i]
+			carry += probs[i]
 			continue
 		}
-		values = append(values, d.values[i])
-		probs = append(probs, d.probs[i]+carry)
+		vs = append(vs, values[i])
+		ps = append(ps, probs[i]+carry)
 		carry = 0
 	}
-	return fromSorted(values, probs)
+	return fromSorted(vs, ps)
 }

@@ -319,14 +319,15 @@ func TestCoarsenLeastErrorEnginesAgree(t *testing.T) {
 		{"random-wide-uncapped", randomWide(3000), 300, math.Inf(1)},
 		{"random-wide-capped", randomWide(3000), 300, 2000},
 		{"tail-dists-fold", foldConvolve(tailDists(t, 8), 0), 256, math.Inf(1)},
-		{"bench-shape", bench, 1024, softMaxGap(bench, 1024)},
+		{"bench-shape", bench, 1024, softMaxGap(bench.values, 1024)},
 	}
+	s := new(scratch)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.d.Len() <= tc.target {
 				t.Fatalf("corpus bug: %d atoms do not exceed target %d", tc.d.Len(), tc.target)
 			}
-			got := tc.d.coarsenLeastErrorCapped(tc.target, tc.maxGap)
+			got := s.coarsenCapped(tc.d, tc.target, tc.maxGap)
 			want := tc.d.coarsenLeastErrorLazy(tc.target, tc.maxGap)
 			requireSameDist(t, tc.name, got, want)
 			if got.Len() > tc.target {
@@ -370,12 +371,13 @@ func FuzzCoarsenLeastErrorEngines(f *testing.F) {
 	f.Add([]byte{9, 1, 2, 3, 9, 1, 2, 3, 9, 1, 2, 3, 200, 40, 5, 5, 1, 1, 1, 1, 1, 1, 1, 1}, uint8(2), uint8(1))
 	// The first atom merges away: the engine must follow the list head.
 	f.Add([]byte("00\x00\x00\x00\x00\x00\x00\x00\x000000\x00000\x0000\x000000000"), uint8('L'), uint8(2))
+	s := new(scratch)
 	f.Fuzz(func(t *testing.T, data []byte, target8, gap8 uint8) {
 		d, target, maxGap := fuzzCoarsenInput(data, target8, gap8)
 		if d == nil {
 			return
 		}
-		requireSameDist(t, "capped engine", d.coarsenLeastErrorCapped(target, maxGap),
+		requireSameDist(t, "capped engine", s.coarsenCapped(d, target, maxGap),
 			d.coarsenLeastErrorLazy(target, maxGap))
 	})
 }

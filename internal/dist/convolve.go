@@ -6,27 +6,28 @@ import (
 	"math/bits"
 )
 
-// maxDenseSpan caps the dense accumulator at 4M float64 cells (32 MB)
-// no matter how many pairs a convolution produces.
+// maxDenseSpan caps the dense accumulator at 4M float64 cells (32 MiB)
+// no matter how many pairs a convolution produces. Accumulators above
+// maxPooledLen cells are allocated per call and never pooled.
 const maxDenseSpan = 1 << 22
 
 // Convolve returns the distribution of the sum of two independent
-// random variables. This is the analysis hot path — ConvolveAllWith
-// runs it at every merge node of the per-set penalty reduction — so it
-// avoids map churn entirely:
+// random variables. It is ConvolveCoarsen with the cap disabled. The
+// paths, chosen by the operands' shapes:
 //
 //   - a degenerate operand turns the convolution into a Shift;
 //   - when the result's value span is small relative to the number of
 //     atom pairs (the common case: penalties share the miss-penalty
 //     granularity), one dense kernel (convolveDenseStride) accumulates
-//     the products into a single preallocated buffer on the grid
-//     base + k·g, O(n·m) with no sorting and no allocation beyond the
-//     buffer and the result. g is 1 — a plain value-offset buffer —
-//     unless the span is large and both supports share a common value
-//     stride g > 1 (penalties are multiples of the miss penalty, so
-//     whole reduction trees do); then the grid has span/g cells,
-//     bitwise the same atoms in the same order at a fraction of the
-//     buffer, and a raw span too wide for the buffer may still fit;
+//     the products in a value-indexed accumulator on the grid
+//     base + k·g, O(n·m) with no sorting. The accumulator and the inner
+//     operand's layout come from a pooled scratch (see scratch), so the
+//     kernel allocates only the result. g is 1 — a plain value-offset
+//     accumulator — unless the span is large and both supports share a
+//     common value stride g > 1 (penalties are multiples of the miss
+//     penalty, so whole reduction trees do); then the grid has span/g
+//     cells, bitwise the same atoms in the same order at a fraction of
+//     the accumulator, and a raw span too wide for it may still fit;
 //   - the dense kernel sorts each pair of atoms by the binary exponents
 //     of their probabilities alone. Pairs whose products are provably
 //     below half the smallest subnormal (deep-tail dust times deep-tail
@@ -42,7 +43,7 @@ const maxDenseSpan = 1 << 22
 //     the CPU's subnormal multiply is slow;
 //   - calls of at least segmentMinPairs pairs also plan a segment
 //     (planSegment): the inner atoms whose exponent is at least a floor
-//     E, copied into a zero-filled, value-indexed array. Every row whose
+//     E, copied into a cleared, value-indexed array. Every row whose
 //     products with them are all normal adds the segment into its cells
 //     with one contiguous multiply-then-add loop (axpy: AVX2 assembly on
 //     amd64 CPUs that have it, a Go loop elsewhere) instead of
@@ -65,6 +66,48 @@ const maxDenseSpan = 1 << 22
 // overflow int64 — like Shift, silently wrapping would corrupt the
 // value domain and with it the soundness contract.
 func (d *Dist) Convolve(o *Dist) *Dist {
+	return d.ConvolveCoarsen(o, 0, CoarsenLeastError)
+}
+
+// ConvolveCoarsen returns d.Convolve(o).CoarsenToWith(maxSupport,
+// strategy), bit for bit, without building the uncoarsened sum: when
+// the dense kernel's sum is over the cap, the coarsener merges it
+// straight from the scratch's read-out. It panics on an unknown
+// strategy when the cap binds, as CoarsenToWith does.
+func (d *Dist) ConvolveCoarsen(o *Dist, maxSupport int, strategy CoarsenStrategy) *Dist {
+	out, p := d.convolveSparse(o)
+	if out != nil {
+		return out.CoarsenToWith(maxSupport, strategy)
+	}
+	s := getScratch()
+	out = s.convolveDenseStride(d, o, p, coarsening{target: maxSupport, strategy: strategy})
+	s.put()
+	return out
+}
+
+// convolveCoarsen is ConvolveCoarsen on a scratch the caller holds,
+// with c saying how an over-cap sum is coarsened.
+func (s *scratch) convolveCoarsen(d, o *Dist, c coarsening) *Dist {
+	out, p := d.convolveSparse(o)
+	if out != nil {
+		return s.coarsen(out, c)
+	}
+	return s.convolveDenseStride(d, o, p, c)
+}
+
+// densePlan is the grid of a dense convolution: cells accumulator cells
+// for the values base + k·g.
+type densePlan struct {
+	base  int64
+	cells int
+	g     uint64
+}
+
+// convolveSparse runs the convolution paths that need no scratch — a
+// Shift for a degenerate operand, the k-way merge for a span too wide
+// for the accumulator — and returns their result, or nil and the grid
+// of the dense kernel.
+func (d *Dist) convolveSparse(o *Dist) (*Dist, densePlan) {
 	if checkEnabled {
 		d.check("Convolve operand")
 		o.check("Convolve operand")
@@ -75,10 +118,10 @@ func (d *Dist) Convolve(o *Dist) *Dist {
 	if n == 1 {
 		// P(X = v) = 1: the sum is o shifted by v, scaled by the
 		// (unit) mass.
-		return o.Shift(d.values[0])
+		return o.Shift(d.values[0]), densePlan{}
 	}
 	if m == 1 {
-		return d.Shift(o.values[0])
+		return d.Shift(o.values[0]), densePlan{}
 	}
 	base := d.values[0] + o.values[0]
 	// The span is compared as (span - 1) in uint64: the difference of
@@ -93,17 +136,17 @@ func (d *Dist) Convolve(o *Dist) *Dist {
 				g = s
 			}
 		}
-		return d.convolveDenseStride(o, base, int(diff/g)+1, g)
+		return nil, densePlan{base: base, cells: int(diff/g) + 1, g: g}
 	}
-	// A raw span too wide for the dense buffer often compresses onto a
+	// A raw span too wide for the accumulator often compresses onto a
 	// coarse grid: penalty values are multiples of the cache miss
 	// penalty, so whole reduction trees share a common value stride.
 	if g := strideGCD(d, o); g > 1 {
 		if cells := diff/g + 1; cells <= uint64(denseLimit(n*m)) {
-			return d.convolveDenseStride(o, base, int(cells), g)
+			return nil, densePlan{base: base, cells: int(cells), g: g}
 		}
 	}
-	return d.convolveKWay(o)
+	return d.convolveKWay(o), densePlan{}
 }
 
 // minStrideCells is the raw span under which the g = 1 buffer is
@@ -185,12 +228,18 @@ func denseLimit(pairs int) int {
 // on targets that would otherwise fuse the multiply-add, and axpy
 // rounds each product too, so every path adds a rounded product
 // everywhere.
-func (d *Dist) convolveDenseStride(o *Dist, base int64, cells int, g uint64) *Dist {
-	buf := make([]float64, cells)
-	in := bandInner(d, o, g)
+//
+// The accumulator comes from s and is all zero on entry. The read-out
+// takes the nonzero cells in value order and clears each one as it
+// takes it, so the accumulator is all zero again on return. A sum that
+// fits c's cap is read out into arrays the result owns; an over-cap one
+// into s's read-out arrays, from which c coarsens it.
+func (s *scratch) convolveDenseStride(d, o *Dist, p densePlan, c coarsening) *Dist {
+	buf := grow(&s.acc, p.cells)
+	in := s.bandInner(d, o, p.g)
 	for i, vi := range d.values {
 		pi := d.probs[i]
-		row := buf[(uint64(vi)-uint64(d.values[0]))/g:]
+		row := buf[(uint64(vi)-uint64(d.values[0]))/p.g:]
 		lo, hi := 0, len(in.off)
 		ep := biasedExp(pi)
 		if ep < in.hwAll {
@@ -209,21 +258,34 @@ func (d *Dist) convolveDenseStride(o *Dist, base int64, cells int, g uint64) *Di
 		}
 	}
 	cnt := 0
-	for _, p := range buf {
-		if p > 0 {
+	for _, q := range buf {
+		if q > 0 {
 			cnt++
 		}
 	}
-	values := make([]int64, 0, cnt)
-	probs := make([]float64, 0, cnt)
-	for k, p := range buf {
-		if p > 0 {
+	var values []int64
+	var probs []float64
+	if c.binds(cnt) {
+		values, probs = grow(&s.values, cnt), grow(&s.probs, cnt)
+	} else {
+		values, probs = make([]int64, cnt), make([]float64, cnt)
+	}
+	j := 0
+	for k, q := range buf {
+		if q > 0 {
 			// Exact even when k·g alone exceeds int64: the sum is
 			// computed mod 2^64 and the true value fits (extreme pair
 			// sums were overflow-checked by the caller).
-			values = append(values, int64(uint64(base)+uint64(k)*g))
-			probs = append(probs, p)
+			values[j], probs[j] = int64(uint64(p.base)+uint64(k)*p.g), q
+			buf[k] = 0
+			j++
 		}
+	}
+	if checkEnabled {
+		s.checkZero()
+	}
+	if c.binds(cnt) {
+		return s.coarsenAtoms(values, probs, c)
 	}
 	return fromSorted(values, probs)
 }
@@ -303,7 +365,7 @@ func significand(x float64) (m uint64, e int) {
 // multiplies every atom in hardware.
 //
 // The segment is the band prefix of the atoms with biased exponent
-// >= segExp, copied into a zero-filled, value-indexed array over their
+// >= segExp, copied into a cleared, value-indexed array over their
 // cell range [segLo, segLo+len(seg)). A row whose products with all of
 // them are normal (segmentRow) adds pi·seg into its cells with one
 // axpy and scatters only the atoms after the prefix. Its empty cells
@@ -350,12 +412,13 @@ func (b *innerBands) prefix(e int) int {
 }
 
 // bandInner lays o out for a dense convolution with outer operand d on
-// the stride-g grid. The bands are a stable counting sort of o's atoms
-// by exponent, O(len(o) + exponent range), and are only built when
-// some pair of d and o can have a subnormal product or the segment
-// leaves some atoms out. Calls with at least segmentMinPairs pairs plan
-// a segment (planSegment).
-func bandInner(d, o *Dist, g uint64) innerBands {
+// the stride-g grid, in s's layout arrays. The bands are a stable
+// counting sort of o's atoms by exponent, O(len(o) + exponent range),
+// and are only built when some pair of d and o can have a subnormal
+// product or the segment leaves some atoms out. Calls with at least
+// segmentMinPairs pairs plan a segment (planSegment), which is cleared
+// before it is filled.
+func (s *scratch) bandInner(d, o *Dist, g uint64) innerBands {
 	minP, minQ, maxQ := 2047, 2047, 0
 	for _, p := range d.probs {
 		minP = min(minP, biasedExp(p))
@@ -371,13 +434,18 @@ func bandInner(d, o *Dist, g uint64) innerBands {
 	}
 	var b innerBands
 	pre := len(o.values) // the atoms with exponent >= floor
+	off := grow(&s.off, len(o.values))
 	if minP+minQ >= minHardwareExpSum && floor <= minQ {
-		b = innerBands{off: denseOffsets(o, g), probs: o.probs}
+		for j, vj := range o.values {
+			off[j] = int((uint64(vj) - uint64(o.values[0])) / g)
+		}
+		b = innerBands{off: off, probs: o.probs}
 	} else {
 		// ends first counts each band, then holds its start, and after
 		// the scatter — in ascending j, so value order within a band —
 		// its end.
-		ends := make([]int, maxQ-minQ+1)
+		ends := grow(&s.ends, maxQ-minQ+1)
+		clear(ends)
 		for _, q := range o.probs {
 			ends[maxQ-biasedExp(q)]++
 		}
@@ -386,8 +454,7 @@ func bandInner(d, o *Dist, g uint64) innerBands {
 			ends[k] = start
 			start += c
 		}
-		off := make([]int, len(o.values))
-		probs := make([]float64, len(o.values))
+		probs := grow(&s.inner, len(o.values))
 		for j, q := range o.probs {
 			k := maxQ - biasedExp(q)
 			off[ends[k]] = int((uint64(o.values[j]) - uint64(o.values[0])) / g)
@@ -402,7 +469,8 @@ func bandInner(d, o *Dist, g uint64) innerBands {
 		for _, oj := range b.off[:pre] {
 			lo, hi = min(lo, oj), max(hi, oj)
 		}
-		b.seg = make([]float64, hi-lo+1)
+		b.seg = grow(&s.seg, hi-lo+1)
+		clear(b.seg)
 		for j, oj := range b.off[:pre] {
 			b.seg[oj-lo] = b.probs[j]
 		}
@@ -493,15 +561,6 @@ func planSegment(d, o *Dist, g uint64) (floor int) {
 		}
 	}
 	return floor
-}
-
-// denseOffsets precomputes each atom's cell offset (v - Min) / g.
-func denseOffsets(o *Dist, g uint64) []int {
-	ooff := make([]int, len(o.values))
-	for j, vj := range o.values {
-		ooff[j] = int((uint64(vj) - uint64(o.values[0])) / g)
-	}
-	return ooff
 }
 
 // streamHead is one k-way-merge cursor: the next unconsumed sum of

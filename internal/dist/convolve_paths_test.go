@@ -154,12 +154,11 @@ func TestConvolvePathAgreement(t *testing.T) {
 // banded kernel is pinned to.
 func (d *Dist) convolveDenseScatter(o *Dist, base int64, cells int, g uint64) *Dist {
 	buf := make([]float64, cells)
-	ooff := denseOffsets(o, g)
 	for i, vi := range d.values {
 		pi := d.probs[i]
 		row := buf[(uint64(vi)-uint64(d.values[0]))/g:]
-		for j, oj := range ooff {
-			row[oj] += float64(pi * o.probs[j])
+		for j, vj := range o.values {
+			row[(uint64(vj)-uint64(o.values[0]))/g] += float64(pi * o.probs[j])
 		}
 	}
 	var values []int64
@@ -337,6 +336,8 @@ func TestConvolveDenseStrideBitIdentical(t *testing.T) {
 		pairs = append(pairs, pair{name: fmt.Sprintf("cells-%d", stride), stride: stride, a: a, b: b,
 			want: map[int64]bool{special[0]: true, special[1]: false, special[2]: false}})
 	}
+	// One scratch serves every call, as in a reduction.
+	s := new(scratch)
 	for _, tc := range pairs {
 		a, b := tc.a, tc.b
 		base := a.Min() + b.Min()
@@ -351,7 +352,7 @@ func TestConvolveDenseStrideBitIdentical(t *testing.T) {
 		}
 		for _, g := range gs {
 			label := fmt.Sprintf("%s g=%d", tc.name, g)
-			got := a.convolveDenseStride(b, base, int(span/g)+1, g)
+			got := s.convolveDenseStride(a, b, densePlan{base, int(span/g) + 1, g}, coarsening{})
 			requireSameDist(t, label+" vs naive", got, want)
 			requireSameDist(t, label+" vs scatter", got, a.convolveDenseScatter(b, base, int(span/g)+1, g))
 			for v, present := range tc.want {
@@ -376,12 +377,12 @@ func TestConvolveDenseStrideBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			runAxpyModes(t, func(t *testing.T) {
 				label := fmt.Sprintf("g=%d", g)
-				in := bandInner(a, b, g)
+				in := new(scratch).bandInner(a, b, g)
 				if in.segExp == 0 {
 					t.Fatalf("%s: no segment planned", label)
 				}
 				checkSegmentCorpus(t, label, tc, in)
-				got := a.convolveDenseStride(b, base, cells, g)
+				got := s.convolveDenseStride(a, b, densePlan{base, cells, g}, coarsening{})
 				requireSameDist(t, label+" vs naive", got, want)
 				requireSameDist(t, label+" vs scatter", got, scatter)
 			})
@@ -660,7 +661,7 @@ func TestProductClassSplit(t *testing.T) {
 			ps = append(ps, withExp(e))
 		}
 		outer := fromSorted([]int64{0, 1}, []float64{0.5, withExp(c.minP)})
-		in := bandInner(outer, &Dist{values: vs, probs: ps}, 1)
+		in := new(scratch).bandInner(outer, &Dist{values: vs, probs: ps}, 1)
 		for ep := c.minP; ep <= 1023; ep++ {
 			hw, kept := len(in.off), len(in.off)
 			if ep < in.hwAll {
@@ -716,7 +717,7 @@ func TestSegmentPlan(t *testing.T) {
 				if useAVX2 {
 					want = tc.avx2
 				}
-				if in := bandInner(tc.a, tc.b, 1); (in.segExp > 0) != want {
+				if in := new(scratch).bandInner(tc.a, tc.b, 1); (in.segExp > 0) != want {
 					t.Fatalf("segment planned %v (E = %d), want %v", in.segExp > 0, in.segExp, want)
 				}
 			})

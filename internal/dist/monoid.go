@@ -129,14 +129,14 @@ const (
 	softGapSlack = 2.0
 )
 
-// softMaxGap is the merge-run span cap for in-tree coarsening of d: a
-// small multiple of span/target, the run width a uniform coarsening to
-// target atoms would need. Capping runs at it bounds every quantile's
-// inflation — at any exceedance probability, however deep — to one cap
-// per coarsened operand, because coarsening moves mass upward by at
-// most the span of the run it joins.
-func softMaxGap(d *Dist, target int) float64 {
-	span := float64(d.values[len(d.values)-1]) - float64(d.values[0])
+// softMaxGap is the merge-run span cap for in-tree coarsening of a
+// sorted support: a small multiple of span/target, the run width a
+// uniform coarsening to target atoms would need. Capping runs at it
+// bounds every quantile's inflation — at any exceedance probability,
+// however deep — to one cap per coarsened operand, because coarsening
+// moves mass upward by at most the span of the run it joins.
+func softMaxGap(values []int64, target int) float64 {
+	span := float64(values[len(values)-1]) - float64(values[0])
 	return softGapSlack * span / float64(target)
 }
 
@@ -337,7 +337,15 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 		}
 	}
 
-	compute := func(nd *canonNode) {
+	// An over-cap node coarsens straight from the scratch's read-out.
+	// Armed nodes hard-coarsen with a span cap. The soft passes pre-thin
+	// the operands' tail dust, and on such pre-thinned products the
+	// uncapped greedy engine's cost equilibrium rises until it flings
+	// whole near-massless tail bands into the support maximum — the
+	// capped engine freezes the already-sparse tail and spends its
+	// merges on the dense body instead (see coarsenLeastErrorCapped).
+	hard := coarsening{target: maxSupport, strategy: strategy, spanCap: softTarget > 0}
+	compute := func(nd *canonNode, s *scratch) {
 		if checkCancel() != nil {
 			return // a child may have been skipped; leave result nil
 		}
@@ -345,40 +353,37 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 		if softTarget > 0 && int64(l.Len())*int64(r.Len()) > softPairLimit {
 			half := nd.eps / 2
 			var sl, sr float64
-			l, sl = l.coarsenSoft(softTarget, half, softMaxGap(l, softTarget))
-			r, sr = r.coarsenSoft(softTarget, half, softMaxGap(r, softTarget))
+			l, sl = l.coarsenSoft(softTarget, half, softMaxGap(l.values, softTarget))
+			r, sr = r.coarsenSoft(softTarget, half, softMaxGap(r.values, softTarget))
 			nd.spent = sl + sr
 		}
-		out := l.Convolve(r)
-		if softTarget > 0 && out.Len() > maxSupport {
-			// Armed nodes hard-coarsen with a span cap. The soft passes
-			// pre-thin the operands' tail dust, and on such pre-thinned
-			// products the uncapped greedy engine's cost equilibrium
-			// rises until it flings whole near-massless tail bands into
-			// the support maximum — the capped engine freezes the
-			// already-sparse tail and spends its merges on the dense
-			// body instead (see coarsenLeastErrorCapped).
-			nd.result = out.coarsenLeastErrorCapped(maxSupport, softMaxGap(out, maxSupport))
-		} else {
-			nd.result = out.CoarsenToWith(maxSupport, strategy)
-		}
+		nd.result = s.convolveCoarsen(l, r, hard)
 	}
 
 	internal := canon[leafClasses:]
 	rootID := nodeCanon[2*n-2]
 	if workers <= 1 || len(internal) == 1 {
 		// Canon ids are in dependency order (children precede parents).
+		// One scratch serves every node; it returns to the pool only if
+		// no node panicked.
+		s := getScratch()
 		for _, nd := range internal {
-			compute(nd)
+			compute(nd, s)
 		}
+		s.put()
 	} else {
 		// Dependency-driven parallel execution: one goroutine per unique
 		// node waits for its children, takes a worker slot, computes and
 		// publishes. Every canon node is an ancestor-reachable
 		// dependency of the root (each plan node maps onto the canon
 		// DAG), so waiting for the root's done orders every write before
-		// the reads below.
-		sem := make(chan struct{}, workers)
+		// the reads below. A slot carries its worker's scratch, taken
+		// from the pool on the slot's first use; every slot is back in
+		// sem once the root is done.
+		sem := make(chan *scratch, workers)
+		for range workers {
+			sem <- nil
+		}
 		for _, nd := range internal {
 			nd.done = make(chan struct{})
 		}
@@ -390,13 +395,21 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 				if c := canon[nd.r]; c.done != nil {
 					<-c.done
 				}
-				sem <- struct{}{}
-				compute(nd)
-				<-sem
+				s := <-sem
+				if s == nil {
+					s = getScratch()
+				}
+				compute(nd, s)
+				sem <- s
 				close(nd.done)
 			}(nd)
 		}
 		<-canon[rootID].done
+		for range workers {
+			if s := <-sem; s != nil {
+				s.put()
+			}
+		}
 	}
 	if probe != nil {
 		abortMu.Lock()

@@ -115,10 +115,11 @@ func buildMergePlan(ds []*Dist, maxSupport int) []mergeStep {
 // workers bounds the merge nodes convolving concurrently; 0 means
 // GOMAXPROCS, 1 is fully sequential. Each node waits only for its two
 // children, so independent subtrees overlap, and each node runs one
-// plain Convolve. The schedule is a pure function of the inputs'
-// canonical order and support sizes, and every node's product is a
-// pure function of its two children, so the result is byte-identical
-// for every worker count and every strategy.
+// sequential convolution and coarsening on its worker's scratch. The
+// schedule is a pure function of the inputs' canonical order and
+// support sizes, and every node's product is a pure function of its
+// two children, so the result is byte-identical for every worker count
+// and every strategy.
 //
 // An empty ds yields Degenerate(0), the neutral element of convolution.
 //
