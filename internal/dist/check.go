@@ -43,21 +43,32 @@ func (d *Dist) check(where string) {
 		panic(fmt.Sprintf("pwcetcheck: %s: malformed Dist: %d values, %d probs, %d ccdf",
 			where, n, len(d.probs), len(d.ccdf)))
 	}
-	var mass float64
+	checkAtoms(where, d.values, d.probs)
 	var tail float64
 	for i := n - 1; i >= 0; i-- {
-		if i > 0 && d.values[i-1] >= d.values[i] {
-			panic(fmt.Sprintf("pwcetcheck: %s: atoms not strictly sorted: values[%d]=%d >= values[%d]=%d",
-				where, i-1, d.values[i-1], i, d.values[i]))
-		}
-		p := d.probs[i]
-		if math.IsNaN(p) || math.IsInf(p, 0) || p <= 0 {
-			panic(fmt.Sprintf("pwcetcheck: %s: probs[%d] = %g (want finite and > 0)", where, i, p))
-		}
 		if d.ccdf[i] != tail {
 			panic(fmt.Sprintf("pwcetcheck: %s: ccdf[%d] = %g, want suffix sum %g", where, i, d.ccdf[i], tail))
 		}
-		tail += p
+		tail += d.probs[i]
+	}
+}
+
+// checkAtoms asserts check's invariants on bare atoms: values strictly
+// increasing, every probability finite and > 0, and total mass at most
+// 1 + checkMassTolerance. The coarsener merges an over-cap sum straight
+// from the scratch's read-out, before any Dist is built from it, so
+// coarsenAtoms checks its input with it under pwcetcheck.
+func checkAtoms(where string, values []int64, probs []float64) {
+	var mass float64
+	for i := len(values) - 1; i >= 0; i-- {
+		if i > 0 && values[i-1] >= values[i] {
+			panic(fmt.Sprintf("pwcetcheck: %s: atoms not strictly sorted: values[%d]=%d >= values[%d]=%d",
+				where, i-1, values[i-1], i, values[i]))
+		}
+		p := probs[i]
+		if math.IsNaN(p) || math.IsInf(p, 0) || p <= 0 {
+			panic(fmt.Sprintf("pwcetcheck: %s: probs[%d] = %g (want finite and > 0)", where, i, p))
+		}
 		mass += p
 	}
 	if mass > 1+checkMassTolerance {

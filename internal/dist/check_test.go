@@ -1,6 +1,9 @@
 package dist
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestPwcetcheckCatchesCorruptDist: under -tags pwcetcheck, feeding a
 // hand-corrupted Dist (atoms out of order) into an operation must panic
@@ -41,4 +44,33 @@ func TestPwcetcheckCatchesBrokenCCDF(t *testing.T) {
 		}
 	}()
 	_ = corrupt.Convolve(Degenerate(1))
+}
+
+// TestPwcetcheckCatchesCorruptReadOut: over-cap atoms that the
+// coarsener merges straight from a scratch, before any Dist is built
+// from them, are checked too. Each corruption here is one the merges
+// would hide: the unsorted atom and the zero atom are merged away
+// first, so only the check of coarsenAtoms's input can see them.
+func TestPwcetcheckCatchesCorruptReadOut(t *testing.T) {
+	if !checkEnabled {
+		t.Skip("pwcetcheck tag not enabled; sanitizer assertions are compiled out")
+	}
+	for _, tc := range []struct {
+		name   string
+		values []int64
+		probs  []float64
+	}{
+		{"unsorted", []int64{1, 3, 2, 100}, []float64{0.25, 0.25, 0.25, 0.25}},
+		{"zero atom", []int64{1, 2, 3, 100}, []float64{0.5, 0, 0.25, 0.25}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "pwcetcheck: coarsenAtoms:") {
+					t.Fatalf("recovered %q, want a coarsenAtoms pwcetcheck panic", msg)
+				}
+			}()
+			new(scratch).coarsenAtoms(tc.values, tc.probs, coarsening{target: 2, strategy: CoarsenLeastError})
+		})
+	}
 }

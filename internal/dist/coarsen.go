@@ -188,6 +188,9 @@ func (s *scratch) coarsen(d *Dist, c coarsening) *Dist {
 // least-error engine merges mass in place, so mass must be scratch
 // memory or otherwise the caller's to overwrite.
 func (s *scratch) coarsenAtoms(values []int64, mass []float64, c coarsening) *Dist {
+	if checkEnabled {
+		checkAtoms("coarsenAtoms", values, mass)
+	}
 	switch {
 	case c.spanCap:
 		return s.coarsenLeastErrorCapped(values, mass, c.target, softMaxGap(values, c.target))
@@ -392,6 +395,9 @@ func (s *scratch) coarsenLeastErrorCapped(values []int64, mass []float64, target
 		// The span cap left no eligible pair early: finish uncapped on
 		// the survivors so the support bound always holds. ps is the
 		// survivors' own copy, so that pass merges it in place.
+		if checkEnabled {
+			checkAtoms("coarsenLeastErrorCapped survivors", vs, ps)
+		}
 		return s.coarsenLeastErrorCapped(vs, ps, target, inf)
 	}
 	out := fromSorted(vs, ps)

@@ -362,7 +362,12 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 
 	internal := canon[leafClasses:]
 	rootID := nodeCanon[2*n-2]
-	if workers <= 1 || len(internal) == 1 {
+	// At most one node per goroutine runs at once, so more slots than
+	// nodes change no schedule; each slot costs a channel cell, and a
+	// caller may pass any count (a serve batch request's workers
+	// reaches here), so the slots are clamped to the nodes.
+	workers = min(workers, len(internal))
+	if workers <= 1 {
 		// Canon ids are in dependency order (children precede parents).
 		// One scratch serves every node; it returns to the pool only if
 		// no node panicked.

@@ -215,3 +215,15 @@ func TestConvolveAllConcurrentPool(t *testing.T) {
 		}
 	}
 }
+
+// TestConvolveAllHugeWorkers checks that the parallel scheduler sizes
+// its worker slots by its merge nodes, not by workers, which a caller
+// may pass unclamped (a serve batch request's workers field reaches
+// it): at math.MaxInt the reduction must not panic, and it matches the
+// serial result. The scheduler starts one goroutine per merge node
+// whatever workers is.
+func TestConvolveAllHugeWorkers(t *testing.T) {
+	ds := benchShapeDists(t, 64)
+	want := ConvolveAllWith(ds, 512, 1, CoarsenLeastError)
+	requireSameDist(t, "workers math.MaxInt", ConvolveAllWith(ds, 512, math.MaxInt, CoarsenLeastError), want)
+}
