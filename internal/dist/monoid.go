@@ -362,10 +362,10 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 
 	internal := canon[leafClasses:]
 	rootID := nodeCanon[2*n-2]
-	// At most one node per goroutine runs at once, so more slots than
-	// nodes change no schedule; each slot costs a channel cell, and a
-	// caller may pass any count (a serve batch request's workers
-	// reaches here), so the slots are clamped to the nodes.
+	// One goroutine runs each node, so slots beyond the node count
+	// change no schedule. Each slot costs a channel cell, and a caller
+	// may pass any count (a serve batch request's workers reaches
+	// here), so the slots are clamped to the nodes.
 	workers = min(workers, len(internal))
 	if workers <= 1 {
 		// Canon ids are in dependency order (children precede parents).
