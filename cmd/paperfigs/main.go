@@ -26,17 +26,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
-	"sync"
 
 	pwcet "repro"
 	"repro/internal/dist"
+	"repro/internal/par"
 	"repro/internal/report"
 )
 
-// workers is the resolved -workers flag: the bound on concurrent
-// benchmark analyses and on each analysis's internal per-set stages.
+// workers is the -workers flag: the bound on concurrent benchmark
+// analyses and on each analysis's internal per-set stages
+// (0 = GOMAXPROCS).
 var workers int
 
 // coarsen is the resolved -coarsen flag, applied to every query.
@@ -55,9 +55,6 @@ func main() {
 		os.Exit(2)
 	}
 	workers = *workersFlag
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var err error
 	if coarsen, err = pwcet.ParseCoarsenStrategy(*coarsenFlag); err != nil {
 		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
@@ -262,61 +259,43 @@ func fig4(pfail, target float64, table bool) {
 func computeFig4(pfail, target float64) []benchRow {
 	names := pwcet.Benchmarks()
 	rows := make([]benchRow, len(names))
-	// The 75 analyses are independent; run them on the bounded worker
-	// pool (each benchmark's engine stays sequential inside: the outer
-	// fan-out already saturates the pool).
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	var firstErr error
-	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				p, err := pwcet.Benchmark(names[i])
-				if err == nil {
-					var results []*pwcet.Result
-					var eng *pwcet.Engine
-					eng, err = pwcet.NewEngine(p, pwcet.EngineOptions{Workers: 1})
-					if err == nil {
-						results, err = eng.AnalyzeBatch([]pwcet.Query{
-							{Pfail: pfail, Mechanism: pwcet.None, TargetExceedance: target, Coarsen: coarsen},
-							{Pfail: pfail, Mechanism: pwcet.RW, TargetExceedance: target, Coarsen: coarsen},
-							{Pfail: pfail, Mechanism: pwcet.SRB, TargetExceedance: target, Coarsen: coarsen},
-						})
-					}
-					if err == nil {
-						none, rw, srb := results[0], results[1], results[2]
-						rows[i] = benchRow{
-							name:    names[i],
-							ff:      none.FaultFreeWCET,
-							none:    none.PWCET,
-							rw:      rw.PWCET,
-							srb:     srb.PWCET,
-							gainRW:  pwcet.Gain(none, rw),
-							gainSRB: pwcet.Gain(none, srb),
-						}
-						rows[i].category = categorize(rows[i])
-					}
-				}
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
+	// The 75 analyses are independent; fan the benchmarks out over the
+	// workers (each benchmark's engine stays sequential inside: the
+	// outer fan-out already saturates the pool).
+	err := par.ForEach(len(names), workers, func() func(int) error {
+		return func(i int) error {
+			p, err := pwcet.Benchmark(names[i])
+			if err != nil {
+				return err
 			}
-		}()
-	}
-	for i := range names {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		fatal(firstErr)
+			eng, err := pwcet.NewEngine(p, pwcet.EngineOptions{Workers: 1})
+			if err != nil {
+				return err
+			}
+			results, err := eng.AnalyzeBatch([]pwcet.Query{
+				{Pfail: pfail, Mechanism: pwcet.None, TargetExceedance: target, Coarsen: coarsen},
+				{Pfail: pfail, Mechanism: pwcet.RW, TargetExceedance: target, Coarsen: coarsen},
+				{Pfail: pfail, Mechanism: pwcet.SRB, TargetExceedance: target, Coarsen: coarsen},
+			})
+			if err != nil {
+				return err
+			}
+			none, rw, srb := results[0], results[1], results[2]
+			rows[i] = benchRow{
+				name:    names[i],
+				ff:      none.FaultFreeWCET,
+				none:    none.PWCET,
+				rw:      rw.PWCET,
+				srb:     srb.PWCET,
+				gainRW:  pwcet.Gain(none, rw),
+				gainSRB: pwcet.Gain(none, srb),
+			}
+			rows[i].category = categorize(rows[i])
+			return nil
+		}
+	})
+	if err != nil {
+		fatal(err)
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
 		if rows[i].category != rows[j].category {

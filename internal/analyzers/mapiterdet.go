@@ -14,6 +14,7 @@ import (
 var DefaultCriticalPackages = []string{
 	"repro",
 	"repro/internal/dist",
+	"repro/internal/par",
 	"repro/internal/lp",
 	"repro/internal/ipet",
 	"repro/internal/absint",

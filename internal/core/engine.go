@@ -61,6 +61,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/faultpoint"
 	"repro/internal/ipet"
+	"repro/internal/par"
 	"repro/internal/program"
 )
 
@@ -132,8 +133,10 @@ type EngineOptions struct {
 	// is fully sequential; negative values are rejected. When a batch
 	// fans out over its groups of queries, each group's own
 	// distribution stages run sequentially (the pool is already
-	// saturated), so the bound is not multiplied. Results are
-	// byte-identical for every worker count.
+	// saturated), but an artifact a group computes — its FMM columns or
+	// hit bounds — still solves its sets on up to Workers goroutines,
+	// so a fanned-out batch may run up to Workers² solves at once.
+	// Results are byte-identical for every worker count.
 	Workers int
 	// Hook, when non-nil, is called once per artifact actually computed
 	// (memo hits do not fire it). Calls may come from any worker
@@ -514,10 +517,10 @@ func (e *Engine) AnalyzeContext(ctx context.Context, q Query) (*Result, error) {
 
 // analyze runs one query with the per-query distribution stages
 // bounded by stageWorkers, dispatching to the degraded-mode retry loop
-// when the query arms a soft deadline. AnalyzeBatchStream's parallel
-// path passes 1: the group-level fan-out already saturates the pool,
-// and multiplying it by per-set parallelism would oversubscribe the
-// machine. Stage parallelism never changes any result.
+// when the query arms a soft deadline. AnalyzeBatchStream passes 1 when
+// its groups fan out: the group-level fan-out already saturates the
+// pool, and multiplying it by per-set parallelism would oversubscribe
+// the machine. Stage parallelism never changes any result.
 func (e *Engine) analyze(qctx context.Context, q Query, stageWorkers int) (*Result, error) {
 	if q.SoftDeadline <= 0 {
 		return e.analyzeOnce(qctx, q, stageWorkers)
@@ -584,6 +587,9 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 	defer func() {
 		if r := recover(); r != nil {
 			pe := &PanicError{Value: r, Stack: debug.Stack()}
+			if p, ok := r.(*par.Panic); ok {
+				pe.Value, pe.Stack = p.Value, p.Stack
+			}
 			e.poison(pe)
 			res, err = nil, pe
 		}
@@ -709,41 +715,26 @@ func (e *Engine) AnalyzeBatchStreamContext(ctx context.Context, queries []Query,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers <= 1 {
-		for _, g := range groups {
-			e.runGroup(ctx, queries, g, e.opt.Workers, deliver)
+	stageWorkers := e.opt.Workers
+	if min(workers, len(groups)) > 1 {
+		// Stage parallelism 1: the group-level fan-out already
+		// saturates the pool (memoized artifacts still compute at the
+		// engine's Workers, deduplicated by sync.Once).
+		stageWorkers = 1
+		var mu sync.Mutex
+		serial := deliver
+		deliver = func(r BatchResult) {
+			mu.Lock()
+			defer mu.Unlock()
+			serial(r)
 		}
-		return
 	}
-
-	var mu sync.Mutex
-	serialized := func(r BatchResult) {
-		mu.Lock()
-		deliver(r)
-		mu.Unlock()
-	}
-	jobs := make(chan []batchMember)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range jobs {
-				// Stage parallelism 1: the group-level fan-out already
-				// saturates the pool (memoized artifacts still compute
-				// at the engine's Workers, deduplicated by sync.Once).
-				e.runGroup(ctx, queries, g, 1, serialized)
-			}
-		}()
-	}
-	for _, g := range groups {
-		jobs <- g
-	}
-	close(jobs)
-	wg.Wait()
+	_ = par.ForEach(len(groups), workers, func() func(int) error {
+		return func(g int) error {
+			e.runGroup(ctx, queries, groups[g], stageWorkers, deliver)
+			return nil
+		}
+	})
 }
 
 // batchMember is one query of a batch group: its index in the batch and

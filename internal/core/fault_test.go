@@ -9,6 +9,8 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/faultpoint"
 	"repro/internal/lp"
+	"repro/internal/malardalen"
 )
 
 func TestInjectedEngineBuildFault(t *testing.T) {
@@ -101,6 +104,55 @@ func TestInjectedAnalyzePanicPoisons(t *testing.T) {
 		t.Fatalf("poisoned engine answered: %v", err)
 	}
 	requireAccounting(t, eng)
+}
+
+// TestInjectedWorkerPanicPoisons: a panic in a per-set solve on a
+// worker goroutine (the FMM of a permanent query, the hit bounds of a
+// transient one) poisons the engine like a panic on the query's own
+// goroutine, instead of killing the process. The first slow-solve hit
+// is the fault-free WCET solve on the query goroutine, so the panic
+// fires in the first per-set solve. PanicError carries the injected
+// value and the stack of the worker that panicked.
+func TestInjectedWorkerPanicPoisons(t *testing.T) {
+	cases := []struct {
+		name, frame string
+		q           Query
+	}{
+		{"permanent", "ipet.computeFMMRow", Query{Pfail: 1e-4}},
+		{"transient", "ipet.computeHitBound", Query{Scenario: fault.Transient{Lambda: 1e-9}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Cleanup(faultpoint.Reset)
+			eng, err := NewEngine(malardalen.MustGet("adpcm"), EngineOptions{Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseline := runtime.NumGoroutine()
+			if err := faultpoint.Enable(faultpoint.SiteSlowSolve, "panic,after=1,count=1"); err != nil {
+				t.Fatal(err)
+			}
+			_, err = eng.Analyze(tc.q)
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("Analyze = %v, want *PanicError", err)
+			}
+			if ie, ok := pe.Value.(*faultpoint.InjectedError); !ok || ie.Site != faultpoint.SiteSlowSolve {
+				t.Fatalf("PanicError.Value = %v, want the injected fault", pe.Value)
+			}
+			if !strings.Contains(string(pe.Stack), tc.frame) {
+				t.Errorf("PanicError.Stack does not show the worker frame %s:\n%s", tc.frame, pe.Stack)
+			}
+			if !eng.Poisoned() {
+				t.Fatal("a worker's panic did not poison the engine")
+			}
+			if ms := eng.MemStats(); ms.PinnedBytes != 0 {
+				t.Errorf("the panic stranded pins: %+v", ms)
+			}
+			requireAccounting(t, eng)
+			waitGoroutines(t, baseline)
+		})
+	}
 }
 
 // TestInjectedForceEvictByteIdentity: the core memoization contract

@@ -21,8 +21,10 @@ var ErrPoisoned = errors.New("core: engine poisoned by a previous panic")
 // PanicError is the error a recovered analysis panic turns into: the
 // engine's panic boundary (analyzeOnce) converts the panic into this
 // error, poisons the engine and returns it to the caller instead of
-// unwinding the process. Value is the recovered panic value and Stack
-// the stack captured at the recovery point.
+// unwinding the process. Value is the original panic value and Stack
+// the stack of the goroutine that panicked: the query's own, or that
+// of the per-set or per-node worker whose panic par.ForEach raised
+// again on the query's goroutine.
 type PanicError struct {
 	Value any
 	Stack []byte

@@ -222,23 +222,9 @@ func BenchmarkMultiplyAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkPow measures the exact square-and-multiply k-fold
-// convolution on the 5-atom per-set shape. k = 64 keeps a full
-// squaring chain (6 squares plus partial-product merges) while the
-// uncoarsened supports stay small enough for a stable multi-iteration
-// measurement; inside ConvolveAllWith the same chain runs with in-tree
-// coarsening (BenchmarkConvolveAllEqualInputs measures that).
-func BenchmarkPow(b *testing.B) {
-	d := benchSetDist()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = d.Pow(64)
-	}
-}
-
 // BenchmarkConvolveAllEqualInputs is the monoid fast path in
 // isolation: 256 identical per-set distributions, which class
-// detection collapses to a single Pow-style shared subtree (8 unique
+// detection collapses to a single shared squaring chain (8 unique
 // convolutions) instead of 255.
 func BenchmarkConvolveAllEqualInputs(b *testing.B) {
 	ds := make([]*Dist, 256)

@@ -13,10 +13,12 @@
 package dist
 
 import (
+	"cmp"
 	"math"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // compareShape orders distributions by shift-invariant content:
@@ -197,7 +199,6 @@ type canonNode struct {
 	eps    float64
 	spent  float64
 	result *Dist
-	done   chan struct{}
 }
 
 // convolveAllOpt is the optimized reduction behind ConvolveAllWith and
@@ -220,37 +221,21 @@ type canonNode struct {
 // maximum, like every coarsening here.
 //
 // probe, when non-nil, is consulted once up front and once per merge
-// node (on whichever goroutine computes it). The first non-nil probe
-// error sticks: remaining nodes skip their convolutions, every
-// in-flight done channel still closes — no goroutine outlives the call
-// — and the error is returned in place of a distribution. A nil probe
+// node, on whichever goroutine computes the node, so it must be safe
+// for concurrent use (ctx.Err is). The first failing probe stops the
+// reduction: no deeper node starts, the nodes in flight finish, and
+// the error of the lowest failing node of that depth is returned in
+// place of a distribution once every worker has returned. A nil probe
 // adds no per-node overhead beyond one nil check.
 func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrategy, probe func() error) (*Dist, convolveAllStats, error) {
 	var st convolveAllStats
-	var abortMu sync.Mutex
-	var abortErr error
-	// checkCancel consults the probe under a sticky-error lock: once any
-	// node observes cancellation, every later check returns the same
-	// error without re-probing.
-	checkCancel := func() error {
-		if probe == nil {
-			return nil
+	if probe != nil {
+		if err := probe(); err != nil {
+			return nil, st, err
 		}
-		abortMu.Lock()
-		defer abortMu.Unlock()
-		if abortErr == nil {
-			abortErr = probe()
-		}
-		return abortErr
-	}
-	if err := checkCancel(); err != nil {
-		return nil, st, err
 	}
 	if len(ds) == 0 {
 		return Degenerate(0), st, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	if len(ds) == 1 {
 		return ds[0].CoarsenToWith(maxSupport, strategy), st, nil
@@ -345,10 +330,14 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 	// capped engine freezes the already-sparse tail and spends its
 	// merges on the dense body instead (see coarsenLeastErrorCapped).
 	hard := coarsening{target: maxSupport, strategy: strategy, spanCap: softTarget > 0}
-	compute := func(nd *canonNode, s *scratch) {
-		if checkCancel() != nil {
-			return // a child may have been skipped; leave result nil
+	var level []*canonNode // the merge nodes of the depth being computed
+	compute := func(i int) error {
+		if probe != nil {
+			if err := probe(); err != nil {
+				return err
+			}
 		}
+		nd := level[i]
 		l, r := canon[nd.l].result, canon[nd.r].result
 		if softTarget > 0 && int64(l.Len())*int64(r.Len()) > softPairLimit {
 			half := nd.eps / 2
@@ -357,73 +346,33 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 			r, sr = r.coarsenSoft(softTarget, half, softMaxGap(r.values, softTarget))
 			nd.spent = sl + sr
 		}
-		nd.result = s.convolveCoarsen(l, r, hard)
-	}
-
-	internal := canon[leafClasses:]
-	rootID := nodeCanon[2*n-2]
-	// One goroutine runs each node, so slots beyond the node count
-	// change no schedule. Each slot costs a channel cell, and a caller
-	// may pass any count (a serve batch request's workers reaches
-	// here), so the slots are clamped to the nodes.
-	workers = min(workers, len(internal))
-	if workers <= 1 {
-		// Canon ids are in dependency order (children precede parents).
-		// One scratch serves every node; it returns to the pool only if
-		// no node panicked.
+		// The scratch returns to the pool only if the node did not
+		// panic.
 		s := getScratch()
-		for _, nd := range internal {
-			compute(nd, s)
-		}
+		nd.result = s.convolveCoarsen(l, r, hard)
 		s.put()
-	} else {
-		// Dependency-driven parallel execution: one goroutine per unique
-		// node waits for its children, takes a worker slot, computes and
-		// publishes. Every canon node is an ancestor-reachable
-		// dependency of the root (each plan node maps onto the canon
-		// DAG), so waiting for the root's done orders every write before
-		// the reads below. A slot carries its worker's scratch, taken
-		// from the pool on the slot's first use; every slot is back in
-		// sem once the root is done.
-		sem := make(chan *scratch, workers)
-		for range workers {
-			sem <- nil
-		}
-		for _, nd := range internal {
-			nd.done = make(chan struct{})
-		}
-		for _, nd := range internal {
-			go func(nd *canonNode) {
-				if c := canon[nd.l]; c.done != nil {
-					<-c.done
-				}
-				if c := canon[nd.r]; c.done != nil {
-					<-c.done
-				}
-				s := <-sem
-				if s == nil {
-					s = getScratch()
-				}
-				compute(nd, s)
-				sem <- s
-				close(nd.done)
-			}(nd)
-		}
-		<-canon[rootID].done
-		for range workers {
-			if s := <-sem; s != nil {
-				s.put()
-			}
-		}
+		return nil
 	}
-	if probe != nil {
-		abortMu.Lock()
-		err := abortErr
-		abortMu.Unlock()
-		if err != nil {
+	newWorker := func() func(int) error { return compute }
+
+	// A node reads only its children, which are shallower, so the nodes
+	// of one depth run concurrently once every shallower depth is done.
+	// Every canon node is a descendant of the root, which is thus alone
+	// at maxDepth and computed last.
+	internal := canon[leafClasses:]
+	byDepth := slices.Clone(internal)
+	slices.SortStableFunc(byDepth, func(a, b *canonNode) int { return cmp.Compare(a.depth, b.depth) })
+	for len(byDepth) > 0 {
+		m := 1
+		for m < len(byDepth) && byDepth[m].depth == byDepth[0].depth {
+			m++
+		}
+		level, byDepth = byDepth[:m], byDepth[m:]
+		if err := par.ForEach(len(level), workers, newWorker); err != nil {
 			return nil, st, err
 		}
 	}
+	rootID := nodeCanon[2*n-2]
 	for _, nd := range internal {
 		st.softSpent += nd.spent
 	}

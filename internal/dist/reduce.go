@@ -112,14 +112,15 @@ func buildMergePlan(ds []*Dist, maxSupport int) []mergeStep {
 // curve whenever the cap binds, the exact distribution otherwise.
 // maxSupport <= 0 disables coarsening.
 //
-// workers bounds the merge nodes convolving concurrently; 0 means
-// GOMAXPROCS, 1 is fully sequential. Each node waits only for its two
-// children, so independent subtrees overlap, and each node runs one
-// sequential convolution and coarsening on its worker's scratch. The
-// schedule is a pure function of the inputs' canonical order and
-// support sizes, and every node's product is a pure function of its
-// two children, so the result is byte-identical for every worker count
-// and every strategy.
+// workers bounds the merge nodes convolving concurrently, the calling
+// goroutine included; 0 means GOMAXPROCS, 1 runs every node in order
+// on the calling goroutine. The nodes of one depth of the merge tree
+// run concurrently through par.ForEach once the shallower depths are
+// done, and each node runs one sequential convolution and coarsening
+// on a pooled scratch of its own. The schedule is a pure function of
+// the inputs' canonical order and support sizes, and every node's
+// product is a pure function of its two children, so the result is
+// byte-identical for every worker count and every strategy.
 //
 // An empty ds yields Degenerate(0), the neutral element of convolution.
 //
@@ -134,8 +135,8 @@ func buildMergePlan(ds []*Dist, maxSupport int) []mergeStep {
 // up front by content comparison and shift normalization, and the merge
 // tree is hash-consed: every node is keyed by its (class, class)
 // children, so each distinct subtree convolves once and k equal inputs
-// cost O(log k) convolutions (the shared balanced subtrees ARE the
-// exponentiation-by-squaring of Pow), with one final Shift restoring
+// cost O(log k) convolutions (the shared balanced subtrees are an
+// exponentiation by squaring), with one final Shift restoring
 // the accumulated offsets. Shifting commutes bitwise with convolution
 // on every path (identical accumulation orders, identical products), so
 // the sharing cannot change a single bit of the result.
@@ -166,9 +167,10 @@ func ConvolveAllWith(ds []*Dist, maxSupport, workers int, strategy CoarsenStrate
 // probe (typically a context.Context's Err method) is consulted once
 // up front and once per merge node, and the first non-nil error
 // abandons the remaining convolutions and is returned in place of a
-// result. Cancellation is clean — every merge goroutine finishes before
-// the call returns — and a nil probe makes the function equivalent to
-// ConvolveAllWith.
+// result. The probe may run on several goroutines at once, so it must
+// be safe for concurrent use, as ctx.Err is. Cancellation is clean —
+// every worker returns before the call does — and a nil probe makes the
+// function equivalent to ConvolveAllWith.
 func ConvolveAllCancelWith(ds []*Dist, maxSupport, workers int, strategy CoarsenStrategy, probe func() error) (*Dist, error) {
 	d, _, err := convolveAllOpt(ds, maxSupport, workers, strategy, probe)
 	return d, err

@@ -193,7 +193,7 @@ func TestScratchDropsOversizedAccumulator(t *testing.T) {
 }
 
 // TestConvolveAllConcurrentPool runs the same parallel reductions from
-// four goroutines at once, so their worker slots take, use and return
+// four goroutines at once, so their merge nodes take, use and return
 // pooled scratches concurrently, and pins each result bit for bit to
 // the serial reduction. CI runs it under the race detector repeatedly.
 func TestConvolveAllConcurrentPool(t *testing.T) {
@@ -216,12 +216,11 @@ func TestConvolveAllConcurrentPool(t *testing.T) {
 	}
 }
 
-// TestConvolveAllHugeWorkers checks that the parallel scheduler sizes
-// its worker slots by its merge nodes, not by workers, which a caller
-// may pass unclamped (a serve batch request's workers field reaches
-// it): at math.MaxInt the reduction must not panic, and it matches the
-// serial result. The scheduler starts one goroutine per merge node
-// whatever workers is.
+// TestConvolveAllHugeWorkers checks that the reduction sizes its
+// workers by its merge nodes, not by workers, which a caller may pass
+// unclamped (a serve batch request's workers field reaches it): at
+// math.MaxInt the reduction must not panic, and it matches the serial
+// result. par.ForEach clamps the workers of each depth to its nodes.
 func TestConvolveAllHugeWorkers(t *testing.T) {
 	ds := benchShapeDists(t, 64)
 	want := ConvolveAllWith(ds, 512, 1, CoarsenLeastError)

@@ -13,11 +13,10 @@ package ipet
 import (
 	"context"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/absint"
 	"repro/internal/chmc"
+	"repro/internal/par"
 )
 
 // HitBounds[s] upper-bounds the number of hit-classified reference
@@ -49,8 +48,9 @@ func (h HitBounds) MemBytes() int64 {
 // HitBoundOptions configures ComputeHitBounds.
 type HitBoundOptions struct {
 	// Workers bounds the goroutines solving per-set ILPs concurrently
-	// (sets are independent). 0 means GOMAXPROCS; 1 is fully
-	// sequential. Like ComputeFMM, the result is byte-identical for
+	// (sets are independent), the calling goroutine included. 0 means
+	// GOMAXPROCS; 1 solves every set in order on the calling
+	// goroutine. Like ComputeFMM, the result is byte-identical for
 	// every worker count: each set's bound is solved on a private
 	// simplex restored to the same pristine basis.
 	Workers int
@@ -65,71 +65,29 @@ type HitBoundOptions struct {
 // structurally feasible paths: one ILP per set maximizing the count of
 // executions of the set's always-hit and first-miss references. base
 // must be the full-associativity classification (Analyzer.ClassifyAll).
-// The per-set solves fan out over a bounded worker pool exactly like
-// ComputeFMM; on error the lowest-numbered failing set's error is
-// returned.
+// The per-set solves fan out through par.ForEach exactly like
+// ComputeFMM: on error the lowest-numbered failing set's error is
+// returned, and a worker's panic is raised again on the caller.
 func ComputeHitBounds(sys *System, a *absint.Analyzer, base []chmc.Class, opt HitBoundOptions) (HitBounds, error) {
-	cfg := a.Config()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Sets {
-		workers = cfg.Sets
-	}
-
-	hb := make(HitBounds, cfg.Sets)
-	errs := make([]error, cfg.Sets)
-	if workers == 1 {
+	hb := make(HitBounds, a.Config().Sets)
+	err := par.ForEach(len(hb), opt.Workers, func() func(int) error {
 		ws := sys.Clone()
 		if opt.Ctx != nil {
 			ws.SetCancel(opt.Ctx.Err)
 		}
 		weights := make([]float64, len(sys.p.Blocks))
-		for set := 0; set < cfg.Sets; set++ {
+		return func(set int) (err error) {
 			if opt.Ctx != nil {
 				if err := opt.Ctx.Err(); err != nil {
-					return nil, err
+					return err
 				}
 			}
-			if hb[set], errs[set] = computeHitBound(ws, sys, a, base, set, weights); errs[set] != nil {
-				return nil, errs[set]
-			}
+			hb[set], err = computeHitBound(ws, sys, a, base, set, weights)
+			return err
 		}
-		return hb, nil
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := sys.Clone()
-			if opt.Ctx != nil {
-				ws.SetCancel(opt.Ctx.Err)
-			}
-			weights := make([]float64, len(sys.p.Blocks))
-			for set := range jobs {
-				if opt.Ctx != nil {
-					if err := opt.Ctx.Err(); err != nil {
-						errs[set] = err
-						continue
-					}
-				}
-				hb[set], errs[set] = computeHitBound(ws, sys, a, base, set, weights)
-			}
-		}()
-	}
-	for set := 0; set < cfg.Sets; set++ {
-		jobs <- set
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return hb, nil
 }

@@ -4,12 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/absint"
 	"repro/internal/cache"
 	"repro/internal/chmc"
+	"repro/internal/par"
 )
 
 // WCETResult is the fault-free WCET and its witness path.
@@ -136,8 +135,9 @@ type FMMOptions struct {
 	// (the core Engine's fmmArtifact does).
 	OnlyWholeSetColumn bool
 	// Workers bounds the number of goroutines solving per-set ILPs
-	// concurrently (sets are independent). 0 means GOMAXPROCS; 1 is
-	// fully sequential. The result is byte-identical for every worker
+	// concurrently (sets are independent), the calling goroutine
+	// included. 0 means GOMAXPROCS; 1 solves every set in order on the
+	// calling goroutine. The result is byte-identical for every worker
 	// count: each set's row is computed from a private simplex restored
 	// to the same pristine basis, so neither scheduling nor the number
 	// of workers can influence any pivot path.
@@ -168,78 +168,34 @@ type FMMOptions struct {
 // by the one-block buffer: each reference costs at most one miss per
 // execution, and none if it is SRB-guaranteed (Section III.B.2).
 // The per-set work (a fixpoint reclassification plus up to W warm ILP
-// solves) fans out over a bounded worker pool (FMMOptions.Workers).
+// solves) fans out through par.ForEach over FMMOptions.Workers.
 // Every worker owns a clone of the system and restores it to sys's
 // pristine basis before each set, so FMM[s] is a pure function of
 // (sys, a, base, opt, s): the output is byte-identical whatever the
 // worker count or scheduling, and sys itself is never pivoted. On
 // error the lowest-numbered failing set's error is returned (the same
-// one the sequential loop would have hit first).
+// one the sequential loop would have hit first), and a worker's panic
+// is raised again on the caller once every worker has returned.
 func ComputeFMM(sys *System, a *absint.Analyzer, base []chmc.Class, opt FMMOptions) (FMM, error) {
-	cfg := a.Config()
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Sets {
-		workers = cfg.Sets
-	}
-
-	fmm := make(FMM, cfg.Sets)
-	errs := make([]error, cfg.Sets)
-	if workers == 1 {
+	fmm := make(FMM, a.Config().Sets)
+	err := par.ForEach(len(fmm), opt.Workers, func() func(int) error {
 		ws := sys.Clone()
 		if opt.Ctx != nil {
 			ws.SetCancel(opt.Ctx.Err)
 		}
 		sc := newFMMScratch(sys, a)
-		for set := 0; set < cfg.Sets; set++ {
+		return func(set int) (err error) {
 			if opt.Ctx != nil {
 				if err := opt.Ctx.Err(); err != nil {
-					return nil, err
+					return err
 				}
 			}
-			if fmm[set], errs[set] = computeFMMRow(ws, sys, a, base, opt, set, sc); errs[set] != nil {
-				return nil, errs[set]
-			}
+			fmm[set], err = computeFMMRow(ws, sys, a, base, opt, set, sc)
+			return err
 		}
-		return fmm, nil
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := sys.Clone()
-			if opt.Ctx != nil {
-				ws.SetCancel(opt.Ctx.Err)
-			}
-			sc := newFMMScratch(sys, a)
-			for set := range jobs {
-				// A canceled context fails the remaining sets cheaply:
-				// the jobs channel still drains (the feeder never
-				// blocks forever) but no further ILPs run.
-				if opt.Ctx != nil {
-					if err := opt.Ctx.Err(); err != nil {
-						errs[set] = err
-						continue
-					}
-				}
-				fmm[set], errs[set] = computeFMMRow(ws, sys, a, base, opt, set, sc)
-			}
-		}()
-	}
-	for set := 0; set < cfg.Sets; set++ {
-		jobs <- set
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return fmm, nil
 }

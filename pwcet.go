@@ -78,12 +78,14 @@
 //
 // # Parallelism and determinism
 //
-// The per-set stages of an analysis — the fault-miss-map ILP solves
-// and the penalty convolution — are independent across cache sets and
-// run on a bounded worker pool controlled by EngineOptions.Workers (0
-// uses GOMAXPROCS, 1 forces fully sequential execution; cmd/pwcet
-// exposes it as -workers). Engine batches
-// additionally schedule whole queries over the same pool. The results
+// The per-set stages of an analysis — the fault-miss-map and hit-bound
+// ILP solves and the penalty convolution — are independent across
+// cache sets and fan out over at most EngineOptions.Workers goroutines
+// (0 uses GOMAXPROCS, 1 runs everything in order on the calling
+// goroutine; cmd/pwcet exposes it as -workers). The sets' solves run
+// concurrently, and so do the merge nodes of one depth of the
+// convolution tree once the shallower depths are done. Engine batches
+// additionally schedule their groups of queries the same way. The results
 // are byte-identical for every worker count and batch order: each
 // set's ILPs are solved on a private simplex restored to the same
 // pristine basis, the per-set distributions are reduced by a merge
@@ -144,7 +146,11 @@
 //
 // A panic inside an analysis (a bug, a corrupted artifact, an
 // instrumentation Hook failure) is recovered into a *PanicError
-// carrying the panic value and stack, and the engine is poisoned:
+// carrying the panic value and stack, and the engine is poisoned. That
+// holds as well for a panic on a worker goroutine, in a per-set solve
+// or a merge node: the worker's panic is raised again on the query's
+// goroutine once every worker has returned, and its PanicError carries
+// the stack of the worker that panicked. On a poisoned engine
 // every subsequent query fails fast with ErrPoisoned instead of
 // computing on top of unknown shared state. Poisoned engines are
 // evicted from serving pools (internal/serve) so one bad engine
