@@ -17,6 +17,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/par"
 )
@@ -330,14 +331,12 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 	// capped engine freezes the already-sparse tail and spends its
 	// merges on the dense body instead (see coarsenLeastErrorCapped).
 	hard := coarsening{target: maxSupport, strategy: strategy, spanCap: softTarget > 0}
-	var level []*canonNode // the merge nodes of the depth being computed
-	compute := func(i int) error {
+	compute := func(nd *canonNode, s *scratch) error {
 		if probe != nil {
 			if err := probe(); err != nil {
 				return err
 			}
 		}
-		nd := level[i]
 		l, r := canon[nd.l].result, canon[nd.r].result
 		if softTarget > 0 && int64(l.Len())*int64(r.Len()) > softPairLimit {
 			half := nd.eps / 2
@@ -346,31 +345,52 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 			r, sr = r.coarsenSoft(softTarget, half, softMaxGap(r.values, softTarget))
 			nd.spent = sl + sr
 		}
-		// The scratch returns to the pool only if the node did not
-		// panic.
-		s := getScratch()
 		nd.result = s.convolveCoarsen(l, r, hard)
-		s.put()
 		return nil
 	}
-	newWorker := func() func(int) error { return compute }
 
 	// A node reads only its children, which are shallower, so the nodes
 	// of one depth run concurrently once every shallower depth is done.
 	// Every canon node is a descendant of the root, which is thus alone
-	// at maxDepth and computed last.
+	// at maxDepth and computed last. The k-th worker of every depth
+	// computes its nodes on the reduction's k-th scratch, so the
+	// reduction holds one scratch per worker however many nodes it has,
+	// and each stays warm from depth to depth. They go back to the pool
+	// when the reduction returns a result or an error; a panic skips
+	// that and drops them.
+	var (
+		level     []*canonNode // the nodes of the depth being computed
+		mu        sync.Mutex   // guards scratches and taken
+		scratches []*scratch
+		taken     int // scratches handed to the current depth's workers
+	)
+	newWorker := func() func(int) error {
+		mu.Lock()
+		if taken == len(scratches) {
+			scratches = append(scratches, getScratch())
+		}
+		s := scratches[taken]
+		taken++
+		mu.Unlock()
+		return func(i int) error { return compute(level[i], s) }
+	}
 	internal := canon[leafClasses:]
 	byDepth := slices.Clone(internal)
 	slices.SortStableFunc(byDepth, func(a, b *canonNode) int { return cmp.Compare(a.depth, b.depth) })
-	for len(byDepth) > 0 {
+	var err error
+	for len(byDepth) > 0 && err == nil {
 		m := 1
 		for m < len(byDepth) && byDepth[m].depth == byDepth[0].depth {
 			m++
 		}
-		level, byDepth = byDepth[:m], byDepth[m:]
-		if err := par.ForEach(len(level), workers, newWorker); err != nil {
-			return nil, st, err
-		}
+		level, byDepth, taken = byDepth[:m], byDepth[m:], 0
+		err = par.ForEach(len(level), workers, newWorker)
+	}
+	for _, s := range scratches {
+		s.put()
+	}
+	if err != nil {
+		return nil, st, err
 	}
 	rootID := nodeCanon[2*n-2]
 	for _, nd := range internal {

@@ -117,7 +117,7 @@ func buildMergePlan(ds []*Dist, maxSupport int) []mergeStep {
 // on the calling goroutine. The nodes of one depth of the merge tree
 // run concurrently through par.ForEach once the shallower depths are
 // done, and each node runs one sequential convolution and coarsening
-// on a pooled scratch of its own. The schedule is a pure function of
+// on its worker's scratch. The schedule is a pure function of
 // the inputs' canonical order and support sizes, and every node's
 // product is a pure function of its two children, so the result is
 // byte-identical for every worker count and every strategy.

@@ -7,12 +7,12 @@ import (
 
 // scratch is the working memory of the dense convolution and the
 // least-error coarsening: the accumulator, its read-out, the inner
-// operand's band layout and segment, and the coarsener's arrays. Each
-// merge node of a reduction takes one from scratchPool and returns it,
-// so the arrays grow to the largest node once and are then reused by
-// every later node and every later reduction: node sizes grow from the
-// leaves up, so a scratch per reduction would re-grow at every level.
-// Only where the memory
+// operand's band layout and segment, and the coarsener's arrays. A
+// reduction takes one from scratchPool per worker and returns them when
+// it is done, so the arrays grow to the largest node once and are then
+// reused by every later node and every later reduction: node sizes
+// grow from the leaves up, so a fresh scratch per reduction would
+// re-grow at every level. Only where the memory
 // comes from changes; the kernels read the same operands and add the
 // same products into the same cells in the same order.
 //

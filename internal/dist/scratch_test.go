@@ -193,7 +193,7 @@ func TestScratchDropsOversizedAccumulator(t *testing.T) {
 }
 
 // TestConvolveAllConcurrentPool runs the same parallel reductions from
-// four goroutines at once, so their merge nodes take, use and return
+// four goroutines at once, so their workers take, use and return
 // pooled scratches concurrently, and pins each result bit for bit to
 // the serial reduction. CI runs it under the race detector repeatedly.
 func TestConvolveAllConcurrentPool(t *testing.T) {
