@@ -353,26 +353,28 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 	// of one depth run concurrently once every shallower depth is done.
 	// Every canon node is a descendant of the root, which is thus alone
 	// at maxDepth and computed last. The k-th worker of every depth
-	// computes its nodes on the reduction's k-th scratch, so the
-	// reduction holds one scratch per worker however many nodes it has,
-	// and each stays warm from depth to depth. They go back to the pool
-	// when the reduction returns a result or an error; a panic skips
-	// that and drops them.
+	// runs the reduction's k-th item function, which computes its nodes
+	// on the k-th scratch, so the reduction holds one scratch per worker
+	// however many nodes it has, and each stays warm from depth to
+	// depth. The scratches go back to the pool when the reduction
+	// returns a result or an error; a panic skips that and drops them.
 	var (
 		level     []*canonNode // the nodes of the depth being computed
-		mu        sync.Mutex   // guards scratches and taken
+		mu        sync.Mutex   // guards scratches, items and taken
 		scratches []*scratch
-		taken     int // scratches handed to the current depth's workers
+		items     []func(int) error
+		taken     int // items handed to the current depth's workers
 	)
 	newWorker := func() func(int) error {
 		mu.Lock()
-		if taken == len(scratches) {
-			scratches = append(scratches, getScratch())
+		defer mu.Unlock()
+		if taken == len(items) {
+			s := getScratch()
+			scratches = append(scratches, s)
+			items = append(items, func(i int) error { return compute(level[i], s) })
 		}
-		s := scratches[taken]
 		taken++
-		mu.Unlock()
-		return func(i int) error { return compute(level[i], s) }
+		return items[taken-1]
 	}
 	internal := canon[leafClasses:]
 	byDepth := slices.Clone(internal)
