@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -586,10 +585,7 @@ func (e *Engine) analyzeOnce(qctx context.Context, q Query, stageWorkers int) (r
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			pe := &PanicError{Value: r, Stack: debug.Stack()}
-			if p, ok := r.(*par.Panic); ok {
-				pe.Value, pe.Stack = p.Value, p.Stack
-			}
+			pe := newPanicError(r)
 			e.poison(pe)
 			res, err = nil, pe
 		}

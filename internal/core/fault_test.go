@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -153,6 +154,61 @@ func TestInjectedWorkerPanicPoisons(t *testing.T) {
 			waitGoroutines(t, baseline)
 		})
 	}
+}
+
+// TestInjectedWorkerPanicFailsSharingGroups: the groups of a fanned-out
+// batch share the fault-miss-map artifact whose computation panics. A
+// group that joined that computation, or looked the artifact up after
+// it, must fail too rather than read it as a zero value and report the
+// fault-free WCET as its pWCET. Every row fails with the recovered
+// panic or the poisoned engine's error, or, when it read no artifact
+// of the panicked computation, equals a clean engine's row.
+func TestInjectedWorkerPanicFailsSharingGroups(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	p := malardalen.MustGet("adpcm")
+	var queries []Query
+	for _, pfail := range []float64{1e-5, 1e-3} {
+		for _, mech := range []cache.Mechanism{cache.MechanismNone, cache.MechanismSRB} {
+			queries = append(queries, Query{Pfail: pfail, Mechanism: mech})
+		}
+	}
+	clean, err := NewEngine(p, EngineOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := clean.AnalyzeBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(p, EngineOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faultpoint.Enable(faultpoint.SiteSlowSolve, "panic,after=1,count=1"); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]BatchResult, len(queries))
+	eng.AnalyzeBatchStream(queries, func(br BatchResult) { got[br.Index] = br })
+	panics := 0
+	for i, br := range got {
+		var pe *PanicError
+		switch {
+		case errors.As(br.Err, &pe):
+			panics++
+		case errors.Is(br.Err, ErrPoisoned):
+		case br.Err != nil:
+			t.Errorf("row %d: %v, want the panic or ErrPoisoned", i, br.Err)
+		default:
+			requireSameResult(t, fmt.Sprintf("row %d", i), want[i], br.Result)
+		}
+	}
+	if panics == 0 {
+		t.Error("no row reports the recovered panic")
+	}
+	if ms := eng.MemStats(); ms.PinnedBytes != 0 {
+		t.Errorf("the panic stranded pins: %+v", ms)
+	}
+	requireAccounting(t, eng)
 }
 
 // TestInjectedForceEvictByteIdentity: the core memoization contract

@@ -58,7 +58,9 @@ type memo[K comparable, V any] struct {
 // caller releases it, a pinDep pin belongs to the artifact being built.
 // On an error or a panic get releases the pin itself. Errors settle by
 // kind. A genuine error is a property of the key: the cell stays in the
-// table, uncharged, and every later lookup returns the same error.
+// table, uncharged, and every later lookup returns the same error. So
+// does a panic in compute, as the *PanicError it becomes, while the
+// panic goes on to the caller.
 // Cancellation is a property of one query: the cell leaves its table,
 // and a caller whose own context is still live — it joined a
 // computation that another query's context canceled — retries afresh.
@@ -108,8 +110,7 @@ func getOnce[K comparable, V any](e *Engine, m *memo[K, V], key K, pin pinKind, 
 		}
 	}()
 	c.once.Do(func() {
-		var cost int64
-		c.val, cost, c.err = compute()
+		cost := c.compute(compute)
 		e.mu.Lock()
 		switch {
 		case c.err == nil:
@@ -128,6 +129,24 @@ func getOnce[K comparable, V any](e *Engine, m *memo[K, V], key K, pin pinKind, 
 	}
 	kept = true
 	return c, nil
+}
+
+// compute runs f for the cell and returns the cost of its value.
+// sync.Once counts a panicking function as done, so a panic in f first
+// settles the cell as failed with the *PanicError it becomes, and only
+// then goes on to the engine's panic boundary. A caller that joined the
+// cell, or looks it up before that boundary poisons the engine, thus
+// fails with the panic instead of reading the zero value as the
+// artifact.
+func (c *memoCell[V]) compute(f func() (V, int64, error)) (cost int64) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.err = newPanicError(r)
+			panic(r)
+		}
+	}()
+	c.val, cost, c.err = f()
+	return cost
 }
 
 // valueOf returns a cell's value, or the error get returned instead.

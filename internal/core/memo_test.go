@@ -260,6 +260,60 @@ func TestMemoGenuineErrorIsSticky(t *testing.T) {
 	requireAccounting(t, e)
 }
 
+// TestMemoPanicSettlesCellAsFailed: sync.Once counts a panicking
+// computation as done, so its cell must not be left holding a zero
+// value and no error. The panic reaches the computing caller with its
+// original value; a caller that joined the computation and a later
+// lookup both fail with the *PanicError it became, without computing
+// again, and no lookup leaves a pin behind.
+func TestMemoPanicSettlesCellAsFailed(t *testing.T) {
+	e := &Engine{}
+	var m memo[string, int]
+	gate := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		get(e, context.Background(), &m, "k", pinQuery, testEvent, func() (int, int64, error) {
+			<-gate
+			panic("compute")
+		})
+	}()
+	waitMemo(t, e, "the first caller's miss", func() bool { return e.misses == 1 })
+	var calls atomic.Int32
+	compute := func() (int, int64, error) {
+		calls.Add(1)
+		return 7, 8, nil
+	}
+	joined := make(chan error, 1)
+	go func() {
+		_, err := get(e, context.Background(), &m, "k", pinQuery, testEvent, compute)
+		joined <- err
+	}()
+	waitMemo(t, e, "the joiner's hit", func() bool { return e.hits == 1 })
+	close(gate)
+	if r := <-recovered; r != "compute" {
+		t.Fatalf("the computing caller recovered %v, want the original panic value", r)
+	}
+	joinErr := <-joined
+	_, laterErr := get(e, context.Background(), &m, "k", pinQuery, testEvent, compute)
+	for i, err := range []error{joinErr, laterErr} {
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "compute" || len(pe.Stack) == 0 {
+			t.Errorf("%s: %v, want the *PanicError of the computation's panic", []string{"joiner", "later lookup"}[i], err)
+		}
+	}
+	if calls.Load() != 0 {
+		t.Errorf("the panicked cell computed again %d times", calls.Load())
+	}
+	if pins, _ := pinsOf(e, cellOf(e, &m, "k")); pins != 0 {
+		t.Errorf("the panicked cell holds %d pins, want 0", pins)
+	}
+	if e.artifacts != 0 || e.resident != 0 {
+		t.Errorf("a panicked computation was charged: %d artifacts, %d bytes", e.artifacts, e.resident)
+	}
+	requireAccounting(t, e)
+}
+
 // TestMemoReleasesPinOnErrorAndPanic: get releases the pin it took when
 // the computation fails or panics, and when the Hook panics after the
 // artifact was charged — the engine's panic boundary poisons the

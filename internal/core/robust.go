@@ -9,6 +9,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
+
+	"repro/internal/par"
 )
 
 // ErrPoisoned is returned (wrapped) by every Engine method after a
@@ -24,7 +27,9 @@ var ErrPoisoned = errors.New("core: engine poisoned by a previous panic")
 // unwinding the process. Value is the original panic value and Stack
 // the stack of the goroutine that panicked: the query's own, or that
 // of the per-set or per-node worker whose panic par.ForEach raised
-// again on the query's goroutine.
+// again on the query's goroutine. A query that joined the memoized
+// computation that panicked (see get) fails with a PanicError of the
+// same panic, without poisoning the engine a second time.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -34,6 +39,17 @@ type PanicError struct {
 // for logs (internal/serve includes it in the daemon's error log).
 func (p *PanicError) Error() string {
 	return fmt.Sprintf("core: analysis panicked: %v", p.Value)
+}
+
+// newPanicError converts a recovered panic value into a *PanicError.
+// Called from the recovering deferred function, it records the stack of
+// the goroutine that panicked; a *par.Panic brings the stack of the
+// worker it was raised on instead.
+func newPanicError(r any) *PanicError {
+	if p, ok := r.(*par.Panic); ok {
+		return &PanicError{Value: p.Value, Stack: p.Stack}
+	}
+	return &PanicError{Value: r, Stack: debug.Stack()}
 }
 
 // poison marks the engine unusable, retaining the first panic.

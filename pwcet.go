@@ -150,7 +150,10 @@
 // holds as well for a panic on a worker goroutine, in a per-set solve
 // or a merge node: the worker's panic is raised again on the query's
 // goroutine once every worker has returned, and its PanicError carries
-// the stack of the worker that panicked. On a poisoned engine
+// the stack of the worker that panicked. A concurrent query that
+// joined the memoized computation that panicked, or looks its artifact
+// up afterwards, fails with the same PanicError rather than read a
+// missing artifact. On a poisoned engine
 // every subsequent query fails fast with ErrPoisoned instead of
 // computing on top of unknown shared state. Poisoned engines are
 // evicted from serving pools (internal/serve) so one bad engine
