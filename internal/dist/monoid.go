@@ -13,9 +13,7 @@
 package dist
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -269,26 +267,25 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 	// exponentiation by squaring — O(log k) distinct convolutions.
 	plan := buildMergePlan(sorted, maxSupport)
 	st.planNodes = len(plan)
+	// levels[d-1] lists the internal nodes of depth d in canon order.
 	type pairKey struct{ l, r int32 }
 	intern := make(map[pairKey]int32, len(plan))
-	maxDepth := int32(0)
+	var levels [][]*canonNode
 	for k, stp := range plan {
 		cl, cr := nodeCanon[stp.l], nodeCanon[stp.r]
 		id, ok := intern[pairKey{cl, cr}]
 		if !ok {
-			dep := canon[cl].depth
-			if canon[cr].depth > dep {
-				dep = canon[cr].depth
-			}
-			dep++
-			if dep > maxDepth {
-				maxDepth = dep
-			}
-			canon = append(canon, &canonNode{
+			nd := &canonNode{
 				l: cl, r: cr,
 				leaves: canon[cl].leaves + canon[cr].leaves,
-				depth:  dep,
-			})
+				depth:  max(canon[cl].depth, canon[cr].depth) + 1,
+			}
+			// A new node is at most one deeper than the deepest so far.
+			if int(nd.depth) > len(levels) {
+				levels = append(levels, nil)
+			}
+			levels[nd.depth-1] = append(levels[nd.depth-1], nd)
+			canon = append(canon, nd)
 			id = int32(len(canon) - 1)
 			intern[pairKey{cl, cr}] = id
 		}
@@ -317,7 +314,7 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 			scale += d.Mean() - float64(d.values[0])
 		}
 		st.softBudget = softAreaFrac * scale
-		denom := float64(n) * float64(maxDepth)
+		denom := float64(n) * float64(len(levels))
 		for _, nd := range canon[leafClasses:] {
 			nd.eps = st.softBudget * float64(nd.leaves) / denom
 		}
@@ -352,40 +349,31 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 	// A node reads only its children, which are shallower, so the nodes
 	// of one depth run concurrently once every shallower depth is done.
 	// Every canon node is a descendant of the root, which is thus alone
-	// at maxDepth and computed last. The k-th worker of every depth
-	// runs the reduction's k-th item function, which computes its nodes
-	// on the k-th scratch, so the reduction holds one scratch per worker
-	// however many nodes it has, and each stays warm from depth to
-	// depth. The scratches go back to the pool when the reduction
-	// returns a result or an error; a panic skips that and drops them.
+	// at the last depth and computed last. The k-th worker of every
+	// depth computes its nodes on the k-th scratch, so the reduction
+	// holds one scratch per worker however many nodes it has, and each
+	// stays warm from depth to depth. The scratches go back to the pool
+	// when the reduction returns a result or an error; a panic skips
+	// that and drops them.
 	var (
 		level     []*canonNode // the nodes of the depth being computed
-		mu        sync.Mutex   // guards scratches, items and taken
+		mu        sync.Mutex   // guards scratches and taken
 		scratches []*scratch
-		items     []func(int) error
-		taken     int // items handed to the current depth's workers
+		taken     int // scratches handed to the current depth's workers
 	)
 	newWorker := func() func(int) error {
 		mu.Lock()
-		defer mu.Unlock()
-		if taken == len(items) {
-			s := getScratch()
-			scratches = append(scratches, s)
-			items = append(items, func(i int) error { return compute(level[i], s) })
+		if taken == len(scratches) {
+			scratches = append(scratches, getScratch())
 		}
+		s := scratches[taken]
 		taken++
-		return items[taken-1]
+		mu.Unlock()
+		return func(i int) error { return compute(level[i], s) }
 	}
-	internal := canon[leafClasses:]
-	byDepth := slices.Clone(internal)
-	slices.SortStableFunc(byDepth, func(a, b *canonNode) int { return cmp.Compare(a.depth, b.depth) })
 	var err error
-	for len(byDepth) > 0 && err == nil {
-		m := 1
-		for m < len(byDepth) && byDepth[m].depth == byDepth[0].depth {
-			m++
-		}
-		level, byDepth, taken = byDepth[:m], byDepth[m:], 0
+	for d := 0; d < len(levels) && err == nil; d++ {
+		level, taken = levels[d], 0
 		err = par.ForEach(len(level), workers, newWorker)
 	}
 	for _, s := range scratches {
@@ -395,7 +383,7 @@ func convolveAllOpt(ds []*Dist, maxSupport, workers int, strategy CoarsenStrateg
 		return nil, st, err
 	}
 	rootID := nodeCanon[2*n-2]
-	for _, nd := range internal {
+	for _, nd := range canon[leafClasses:] {
 		st.softSpent += nd.spent
 	}
 	return canon[rootID].result.Shift(nodeDelta[2*n-2]), st, nil
