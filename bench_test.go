@@ -26,7 +26,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ipet"
 	"repro/internal/malardalen"
-	"repro/internal/program"
 )
 
 // BenchmarkFig1 regenerates Figure 1: the per-set penalty distributions
@@ -136,7 +135,7 @@ func BenchmarkIPETWCET(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ipet.WCET(sys, a, classes); err != nil {
+		if _, err := ipet.WCETCombined(sys, a, classes, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -400,7 +399,7 @@ func BenchmarkConvolution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		total := dist.Degenerate(0)
 		for _, d := range perSet {
-			total = total.Convolve(d).CoarsenTo(core.DefaultMaxSupport)
+			total = total.Convolve(d).CoarsenToWith(core.DefaultMaxSupport, dist.CoarsenLeastError)
 		}
 		_ = total.QuantileExceedance(1e-15)
 	}
@@ -411,7 +410,8 @@ func BenchmarkConvolution(b *testing.B) {
 func BenchmarkSimulation(b *testing.B) {
 	p := malardalen.MustGet("adpcm")
 	cfg := cache.PaperConfig()
-	tr, err := p.Trace(program.FirstChooser, 50_000_000)
+	first := func(_ int, succs []int) int { return succs[0] }
+	tr, err := p.Trace(first, 50_000_000)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -92,9 +92,6 @@ func (a *Analyzer) RefsOfSet(set int) []Ref { return a.sets[set].refs }
 // Config returns the cache configuration being analyzed.
 func (a *Analyzer) Config() cache.Config { return a.cfg }
 
-// Program returns the program being analyzed.
-func (a *Analyzer) Program() *program.Program { return a.p }
-
 // ClassifyAll classifies every reference at full associativity (the
 // fault-free cache). The result is indexed by Ref.Global.
 func (a *Analyzer) ClassifyAll() []chmc.Class {
@@ -105,34 +102,19 @@ func (a *Analyzer) ClassifyAll() []chmc.Class {
 	return out
 }
 
-// ClassifySet classifies the references mapping to one cache set at the
-// given effective associativity (W - f for f faulty ways). Entries for
-// references of other sets are NotClassified and must be ignored by the
-// caller. assoc == 0 yields AlwaysMiss for every reference of the set.
-func (a *Analyzer) ClassifySet(set, assoc int) []chmc.Class {
-	out := notClassified(len(a.all))
-	a.classifySet(atAssoc(out, assoc), set)
-	return out
-}
-
-// ClassifySetInto is ClassifySet writing into a caller-provided buffer
-// of len(Refs()) entries: every entry belonging to a reference of the
-// set is (re)written — NotClassified included — while entries of other
-// sets are left untouched, so one buffer can be reused across sets; the
-// caller must only ever read the entries of the set it just classified.
-// A caller that needs one set at several associativities should use
-// ClassifySetByAssocInto, which runs the set's fixpoint once for all.
-func (a *Analyzer) ClassifySetInto(out []chmc.Class, set, assoc int) {
-	a.ClassifySetByAssocInto(atAssoc(out, assoc), set)
-}
-
-// ClassifySetByAssocInto classifies one set at several effective
-// associativities at once: every non-nil byAssoc[A] receives the set's
-// classification at associativity A, with ClassifySetInto's contract
-// for each buffer. The compact domain runs the set's fixpoint once, at
-// max(Ways, len(byAssoc)-1), and reads every A off the same states
-// (classifyCompact explains why that is exact); the Fault Miss Map
-// classifies each set at W-1, ..., 1 with one call.
+// ClassifySetByAssocInto classifies the references mapping to one cache
+// set at several effective associativities at once (W - f for f faulty
+// ways): every non-nil byAssoc[A], a caller-provided buffer of
+// len(Refs()) entries, receives the set's classification at
+// associativity A. Every entry belonging to a reference of the set is
+// (re)written, NotClassified included, while entries of other sets are
+// left untouched, so one buffer can be reused across sets; the caller
+// must only ever read the entries of the set it just classified. A == 0
+// yields AlwaysMiss for every reference of the set. The compact domain
+// runs the set's fixpoint once, at max(Ways, len(byAssoc)-1), and reads
+// every A off the same states (classifyCompact explains why that is
+// exact); the Fault Miss Map classifies each set at W-1, ..., 1 with one
+// call.
 func (a *Analyzer) ClassifySetByAssocInto(byAssoc [][]chmc.Class, set int) {
 	for _, out := range byAssoc {
 		if out != nil {

@@ -17,9 +17,11 @@ import (
 // hit — against concrete simulation of the data cache.
 func TestDataClassificationSoundVsSimulation(t *testing.T) {
 	dcfg := cache.Config{Sets: 2, Ways: 2, BlockBytes: 8, HitLatency: 1, MemLatency: 10}
+	params := progen.DefaultParams()
+	params.DataBlocks = 12
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(3000 + seed))
-		p := progen.Random(rng, progen.DataParams())
+		p := progen.Random(rng, params)
 		da := NewData(p, dcfg)
 		classes := da.ClassifyAll()
 		if len(da.Refs()) == 0 {

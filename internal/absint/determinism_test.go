@@ -36,7 +36,7 @@ func TestClassificationDeterministic(t *testing.T) {
 				out := [][]interface{}{{a.ClassifyAll()}}
 				for set := 0; set < cfg.Sets; set++ {
 					for assoc := 0; assoc <= cfg.Ways; assoc++ {
-						out = append(out, []interface{}{a.ClassifySet(set, assoc)})
+						out = append(out, []interface{}{classifySetAt(a, set, assoc)})
 					}
 				}
 				return out
@@ -46,7 +46,7 @@ func TestClassificationDeterministic(t *testing.T) {
 				out := [][]interface{}{{a.ClassifyAll()}}
 				for set := 0; set < cfg.Sets; set++ {
 					for assoc := 0; assoc <= cfg.Ways; assoc++ {
-						out = append(out, []interface{}{a.ClassifySet(set, assoc)})
+						out = append(out, []interface{}{classifySetAt(a, set, assoc)})
 					}
 				}
 				return out

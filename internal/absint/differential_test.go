@@ -64,7 +64,7 @@ func assertSameClassification(t *testing.T, name string, p *program.Program, cfg
 		}
 		fast.ClassifySetByAssocInto(byAssoc, set)
 		for assoc := 0; assoc <= cfg.Ways+1; assoc++ {
-			fc, rc := fast.ClassifySet(set, assoc), ref.ClassifySet(set, assoc)
+			fc, rc := classifySetAt(fast, set, assoc), classifySetAt(ref, set, assoc)
 			for _, r := range refs {
 				if fc[r.Global] != rc[r.Global] {
 					t.Fatalf("%s/%v: set %d assoc %d ref %d: %v vs reference %v",
@@ -110,19 +110,19 @@ func TestCompactDomainMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
-// TestClassifySetIntoReusesBuffer: one buffer reused across every
-// (set, associativity) pair — the FMM's access pattern — must yield
-// the same per-set entries as fresh ClassifySet calls; stale entries
-// may only ever survive for other sets.
-func TestClassifySetIntoReusesBuffer(t *testing.T) {
+// TestClassifySetByAssocIntoReusesBuffer: one buffer reused across
+// every (set, associativity) pair — the FMM's access pattern — must
+// yield the same per-set entries as fresh buffers; stale entries may
+// only ever survive for other sets.
+func TestClassifySetByAssocIntoReusesBuffer(t *testing.T) {
 	p := malardalen.MustGet("crc")
 	cfg := cache.PaperConfig()
 	a := New(p, cfg)
 	buf := make([]chmc.Class, len(a.Refs()))
 	for set := 0; set < cfg.Sets; set++ {
 		for assoc := cfg.Ways; assoc >= 0; assoc-- {
-			a.ClassifySetInto(buf, set, assoc)
-			fresh := a.ClassifySet(set, assoc)
+			a.ClassifySetByAssocInto(atAssoc(buf, assoc), set)
+			fresh := classifySetAt(a, set, assoc)
 			for _, r := range a.RefsOfSet(set) {
 				if buf[r.Global] != fresh[r.Global] {
 					t.Fatalf("set %d assoc %d ref %d: reused buffer %v, fresh %v",

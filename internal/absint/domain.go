@@ -30,13 +30,6 @@ func (y *youngerSet) clone() *youngerSet {
 	return c
 }
 
-func (y *youngerSet) size() int {
-	if y.sat {
-		return 1 << 30
-	}
-	return len(y.blocks)
-}
-
 // add inserts a block and saturates when the set reaches assoc.
 func (y *youngerSet) add(b uint32, assoc int) {
 	if y.sat {

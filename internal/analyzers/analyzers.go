@@ -20,8 +20,9 @@
 //     to be exhaustive or to carry a panicking default.
 //   - refpurity keeps the retained reference implementations
 //     (lp.NewReferenceSimplex's dense loops, absint's map-based domain,
-//     dist.ConvolveAllExact) from calling into the optimized paths they
-//     exist to validate.
+//     dist.ConvolveAllExact) and the oracles (core.Analyze,
+//     ipet.ExhaustiveMax, sim.ValidateAdversarial, Dist.DominatedBy)
+//     from calling into the optimized paths they exist to validate.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic, a `// want`-comment test harness) so a

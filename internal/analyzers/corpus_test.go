@@ -15,7 +15,7 @@ func TestMapIterDetCorpus(t *testing.T) {
 // its directives then count as unused, which is exactly the hygiene
 // signal for a package dropped from the critical list.
 func TestMapIterDetIgnoresNonCriticalPackages(t *testing.T) {
-	pkg, err := LoadTestdata("testdata/src/mapiterdet", "example.com/elsewhere")
+	pkg, err := loadTestdata("testdata/src/mapiterdet", "example.com/elsewhere")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestExhaustEnumCorpus(t *testing.T) {
 // prefix that does not own the enum's package must stay silent — the
 // analyzer only polices enums this module defines.
 func TestExhaustEnumForeignModule(t *testing.T) {
-	pkg, err := LoadTestdata("testdata/src/exhaustenum", "example.com/exhaustenum")
+	pkg, err := loadTestdata("testdata/src/exhaustenum", "example.com/exhaustenum")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,79 @@ package analyzers
 
 import (
 	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// loadTestdata type-checks a single directory of Go files as package
+// `path` — the analyzer test corpora under testdata/src. Imports are
+// resolved like Load's, via export data listed from the enclosing
+// module (the testdata packages import at most the standard library).
+func loadTestdata(dir, path string) (*Package, error) {
+	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	if len(matches) == 0 {
+		return nil, fmt.Errorf("no Go files in %s", dir)
+	}
+	sort.Strings(matches)
+	fset := token.NewFileSet()
+	var files []*ast.File
+	importSet := map[string]bool{}
+	for _, m := range matches {
+		f, err := parser.ParseFile(fset, m, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		for _, spec := range f.Imports {
+			importSet[spec.Path.Value[1:len(spec.Path.Value)-1]] = true
+		}
+	}
+	args := []string{"list", "-e", "-export", "-deps", listFields}
+	for p := range importSet {
+		args = append(args, p)
+	}
+	sort.Strings(args[5:]) // deterministic go list invocation
+	exports := make(map[string]string)
+	if len(importSet) > 0 {
+		deps, err := goList(dir, args...)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range deps {
+			if p.Export != "" {
+				exports[p.ImportPath] = p.Export
+			}
+		}
+	}
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(f)
+	})
+	info := newInfo()
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("typecheck %s: %w", path, err)
+	}
+	return &Package{Path: path, Name: tpkg.Name(), Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+}
 
 type wantExpectation struct {
 	file string // base name
@@ -35,7 +102,7 @@ type wantExpectation struct {
 // checks the diagnostics against the corpus's want comments.
 func runCorpus(t *testing.T, dir, pkgPath string, analyzers []*Analyzer) {
 	t.Helper()
-	pkg, err := LoadTestdata(filepath.Join("testdata", "src", dir), pkgPath)
+	pkg, err := loadTestdata(filepath.Join("testdata", "src", dir), pkgPath)
 	if err != nil {
 		t.Fatalf("load corpus %s: %v", dir, err)
 	}

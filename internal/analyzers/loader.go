@@ -113,65 +113,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadTestdata type-checks a single directory of Go files as package
-// `path` — the analyzer test corpora under testdata/src. Imports are
-// resolved like Load's, via export data listed from the enclosing
-// module (the testdata packages import at most the standard library).
-func LoadTestdata(dir, path string) (*Package, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	if len(matches) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	sort.Strings(matches)
-	fset := token.NewFileSet()
-	var files []*ast.File
-	importSet := map[string]bool{}
-	for _, m := range matches {
-		f, err := parser.ParseFile(fset, m, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, spec := range f.Imports {
-			importSet[spec.Path.Value[1:len(spec.Path.Value)-1]] = true
-		}
-	}
-	args := []string{"list", "-e", "-export", "-deps", listFields}
-	for p := range importSet {
-		args = append(args, p)
-	}
-	sort.Strings(args[5:]) // deterministic go list invocation
-	exports := make(map[string]string)
-	if len(importSet) > 0 {
-		deps, err := goList(dir, args...)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range deps {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-	info := newInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", path, err)
-	}
-	return &Package{Path: path, Name: tpkg.Name(), Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
 func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Package, error) {
 	if len(goFiles) == 0 {
 		return nil, fmt.Errorf("%s: no Go files", path)

@@ -37,7 +37,15 @@ type RefPurityRule struct {
 //     may share the query validation and the distribution stage but
 //     must not reach the Engine's memo and splice layer: NewEngine,
 //     AnalyzeAll (which builds an engine), the memo protocol (get,
-//     getOnce, valueOf) and every Engine method.
+//     getOnce, valueOf) and every Engine method;
+//   - ipet.ExhaustiveMax, the path enumeration the IPET ILP is checked
+//     against, must not build or solve an IPET system: NewSystem,
+//     NewReferenceSystem, every System method and anything in lp;
+//   - sim.ValidateAdversarial, which checks per-map bounds against the
+//     concrete cache simulator, must not call into the analysis it
+//     checks: core, ipet or absint;
+//   - dist.Dist.DominatedBy, the CCDF comparison the reductions are
+//     checked with, must not convolve or coarsen.
 //
 // The differential suites compare the two sides for byte-identity; a
 // reference that secretly calls the code under test would make that
@@ -67,6 +75,21 @@ var DefaultRefPurityRules = []RefPurityRule{
 		PkgPath:   "repro/internal/core",
 		Root:      regexp.MustCompile(`^Analyze$`),
 		Forbidden: regexp.MustCompile(`^(NewEngine|AnalyzeAll|get|getOnce|valueOf|Engine\..*)$`),
+	},
+	{
+		PkgPath:   "repro/internal/ipet",
+		Root:      regexp.MustCompile(`^ExhaustiveMax$`),
+		Forbidden: regexp.MustCompile(`^(NewSystem|NewReferenceSystem)$|^System\.|^lp\.`),
+	},
+	{
+		PkgPath:   "repro/internal/sim",
+		Root:      regexp.MustCompile(`^ValidateAdversarial$`),
+		Forbidden: regexp.MustCompile(`^(core|ipet|absint)\.`),
+	},
+	{
+		PkgPath:   "repro/internal/dist",
+		Root:      regexp.MustCompile(`^Dist\.DominatedBy$`),
+		Forbidden: regexp.MustCompile(`(?i)convolve|coarsen`),
 	},
 }
 

@@ -2,6 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/types"
 	"regexp"
 	"slices"
 	"strings"
@@ -69,14 +70,16 @@ func TestRepoCleanAndDirectivesLoadBearing(t *testing.T) {
 }
 
 // assertRefPurityRulesLive fails unless every production refpurity rule
-// still names live code: its Root and its Forbidden pattern each match
-// at least one function or method declared in the rule's package. A
-// rename that left a rule matching nothing would turn the lint vacuous
-// without any finding to notice it by.
+// still names live code: its Root matches at least one function or
+// method declared in the rule's package, and its Forbidden pattern at
+// least one the package declares or imports (rendered "pkgname.Name"
+// or "pkgname.Recv.Name", as calls into another package are). A rename
+// that left a rule matching nothing would turn the lint vacuous without
+// any finding to notice it by.
 func assertRefPurityRulesLive(t *testing.T, pkgs []*Package) {
 	t.Helper()
 	for _, rule := range DefaultRefPurityRules {
-		var ids []string
+		var ids, imported []string
 		for _, pkg := range pkgs {
 			if pkg.Path != rule.PkgPath {
 				continue
@@ -89,13 +92,28 @@ func assertRefPurityRulesLive(t *testing.T, pkgs []*Package) {
 					}
 				}
 			}
+			for _, imp := range pkg.Types.Imports() {
+				for _, name := range imp.Scope().Names() {
+					switch obj := imp.Scope().Lookup(name).(type) {
+					case *types.Func:
+						imported = append(imported, typesFuncIdentity(pass, obj))
+					case *types.TypeName:
+						if named, ok := obj.Type().(*types.Named); ok {
+							for i := range named.NumMethods() {
+								imported = append(imported, typesFuncIdentity(pass, named.Method(i)))
+							}
+						}
+					}
+				}
+			}
 		}
 		for _, pat := range []struct {
 			field string
 			re    *regexp.Regexp
-		}{{"Root", rule.Root}, {"Forbidden", rule.Forbidden}} {
-			if !slices.ContainsFunc(ids, pat.re.MatchString) {
-				t.Errorf("refpurity rule for %s: %s %s matches no function or method of the package; the rule guards nothing",
+			ids   []string
+		}{{"Root", rule.Root, ids}, {"Forbidden", rule.Forbidden, append(ids, imported...)}} {
+			if !slices.ContainsFunc(pat.ids, pat.re.MatchString) {
+				t.Errorf("refpurity rule for %s: %s %s matches no function or method the package declares or imports; the rule guards nothing",
 					rule.PkgPath, pat.field, pat.re)
 			}
 		}

@@ -81,9 +81,6 @@ func (c Config) MissPenalty() int64 { return c.MemLatency }
 // BlockAddr maps a byte address to its memory-block address.
 func (c Config) BlockAddr(addr uint32) uint32 { return addr / uint32(c.BlockBytes) }
 
-// SetOf maps a byte address to the cache set it belongs to.
-func (c Config) SetOf(addr uint32) int { return int(c.BlockAddr(addr)) % c.Sets }
-
 // SetOfBlock maps a memory-block address to the cache set it belongs to.
 func (c Config) SetOfBlock(block uint32) int { return int(block) % c.Sets }
 

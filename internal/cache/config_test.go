@@ -59,16 +59,16 @@ func TestAddressMapping(t *testing.T) {
 		if got := c.BlockAddr(addr); got != 0 {
 			t.Fatalf("BlockAddr(%d) = %d, want 0", addr, got)
 		}
-		if got := c.SetOf(addr); got != 0 {
-			t.Fatalf("SetOf(%d) = %d, want 0", addr, got)
+		if got := c.SetOfBlock(c.BlockAddr(addr)); got != 0 {
+			t.Fatalf("set of address %d = %d, want 0", addr, got)
 		}
 	}
 	// Block 16 wraps around to set 0 again (16 sets).
-	if got := c.SetOf(16 * 16); got != 0 {
-		t.Errorf("SetOf(256) = %d, want 0 (wraps around)", got)
+	if got := c.SetOfBlock(c.BlockAddr(16 * 16)); got != 0 {
+		t.Errorf("set of address 256 = %d, want 0 (wraps around)", got)
 	}
-	if got := c.SetOf(17 * 16); got != 1 {
-		t.Errorf("SetOf(272) = %d, want 1", got)
+	if got := c.SetOfBlock(c.BlockAddr(17 * 16)); got != 1 {
+		t.Errorf("set of address 272 = %d, want 1", got)
 	}
 	// Consecutive blocks map to consecutive sets.
 	for b := uint32(0); b < 64; b++ {

@@ -1,7 +1,5 @@
 package cache
 
-import "fmt"
-
 // FaultMap records which physical cache blocks are permanently faulty.
 // FaultMap[s][w] is true when way w of set s holds at least one faulty
 // SRAM cell and is therefore disabled (Section II.A of the paper).
@@ -20,15 +18,6 @@ func NewFaultMap(sets, ways int) FaultMap {
 	return fm
 }
 
-// Clone returns a deep copy of the fault map.
-func (fm FaultMap) Clone() FaultMap {
-	out := make(FaultMap, len(fm))
-	for s, ws := range fm {
-		out[s] = append([]bool(nil), ws...)
-	}
-	return out
-}
-
 // NumFaulty returns the number of faulty ways in the given set.
 func (fm FaultMap) NumFaulty(set int) int {
 	n := 0
@@ -36,15 +25,6 @@ func (fm FaultMap) NumFaulty(set int) int {
 		if f {
 			n++
 		}
-	}
-	return n
-}
-
-// TotalFaulty returns the total number of faulty blocks in the cache.
-func (fm FaultMap) TotalFaulty() int {
-	n := 0
-	for s := range fm {
-		n += fm.NumFaulty(s)
 	}
 	return n
 }
@@ -66,21 +46,4 @@ func (fm FaultMap) UsableWays(set int, mech Mechanism) int {
 		n = ways
 	}
 	return n
-}
-
-// String renders the map as one row per set, 'X' for faulty ways.
-func (fm FaultMap) String() string {
-	out := ""
-	for s, ws := range fm {
-		out += fmt.Sprintf("set %2d: ", s)
-		for _, f := range ws {
-			if f {
-				out += "X"
-			} else {
-				out += "."
-			}
-		}
-		out += "\n"
-	}
-	return out
 }

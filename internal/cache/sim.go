@@ -51,21 +51,6 @@ func NewSim(cfg Config, mech Mechanism, fm FaultMap) *Sim {
 	}
 }
 
-// Config returns the simulated cache configuration.
-func (s *Sim) Config() Config { return s.cfg }
-
-// Mechanism returns the simulated reliability mechanism.
-func (s *Sim) Mechanism() Mechanism { return s.mech }
-
-// Reset clears cache content and statistics but keeps the fault map.
-func (s *Sim) Reset() {
-	for i := range s.stacks {
-		s.stacks[i] = nil
-	}
-	s.srbValid = false
-	s.Hits, s.Misses, s.SRBHits, s.SRBMisses, s.Time = 0, 0, 0, 0, 0
-}
-
 // Access simulates one instruction fetch at the given byte address and
 // reports whether it hit (in the cache or in the SRB). Time and counters
 // are updated.

@@ -14,8 +14,6 @@
 // exactly like AlwaysMiss by the timing model.
 package chmc
 
-import "fmt"
-
 // Class is a cache hit/miss classification.
 type Class int8
 
@@ -49,21 +47,3 @@ func (c Class) String() string {
 // CountsAsMiss reports whether the timing model charges a miss on every
 // execution for this classification (AM and NC).
 func (c Class) CountsAsMiss() bool { return c == AlwaysMiss || c == NotClassified }
-
-// WorseThan reports whether c is at least as costly as d in the timing
-// model's per-execution ordering AH < FM < AM=NC. Degrading a cache
-// (removing ways) can only move classifications upward in this order.
-func (c Class) WorseThan(d Class) bool { return c.rank() >= d.rank() }
-
-func (c Class) rank() int {
-	switch c {
-	case AlwaysHit:
-		return 0
-	case FirstMiss:
-		return 1
-	case AlwaysMiss, NotClassified:
-		return 2
-	default:
-		panic(fmt.Sprintf("chmc: rank of invalid Class %d", int(c)))
-	}
-}

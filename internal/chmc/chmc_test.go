@@ -20,32 +20,3 @@ func TestCountsAsMiss(t *testing.T) {
 		t.Error("AM/NC must count as per-execution miss (paper setup)")
 	}
 }
-
-func TestWorseThanOrdering(t *testing.T) {
-	order := []Class{AlwaysHit, FirstMiss, AlwaysMiss}
-	for i, lo := range order {
-		for j, hi := range order {
-			got := hi.WorseThan(lo)
-			want := j >= i
-			if got != want {
-				t.Errorf("%v.WorseThan(%v) = %v, want %v", hi, lo, got, want)
-			}
-		}
-	}
-	// NC and AM are equally costly.
-	if !NotClassified.WorseThan(AlwaysMiss) || !AlwaysMiss.WorseThan(NotClassified) {
-		t.Error("NC and AM must be mutually WorseThan (same cost rank)")
-	}
-}
-
-// TestRankPanicsOnInvalidClass: an out-of-range Class must stop the
-// pipeline loudly instead of silently ranking as AM/NC (which would
-// corrupt monotonicity checks for any future enum member).
-func TestRankPanicsOnInvalidClass(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WorseThan on an invalid Class did not panic")
-		}
-	}()
-	_ = Class(42).WorseThan(AlwaysHit)
-}

@@ -150,7 +150,7 @@ func resolve(q Query) (plan, error) {
 	if !(q.TargetExceedance > 0 && q.TargetExceedance < 1) { // NaN fails both comparisons
 		return plan{}, fmt.Errorf("core: target exceedance %g outside (0,1)", q.TargetExceedance)
 	}
-	// MaxSupport feeds dist.CoarsenTo, where values below 2 would
+	// MaxSupport feeds dist.CoarsenToWith, where values below 2 would
 	// either disable the cap (<= 0, silently unbounded memory) or
 	// collapse every distribution to its maximum (1). Only 0 (replaced
 	// by the default above) is a valid "unset".

@@ -153,7 +153,8 @@ func TestPreciseSRBWithDataCacheRejected(t *testing.T) {
 
 func TestDataTraceInterleavesAccesses(t *testing.T) {
 	p := buildDataProgram()
-	accesses, err := p.TraceAccesses(program.FirstChooser, 1_000_000)
+	first := func(_ int, succs []int) int { return succs[0] }
+	accesses, err := p.TraceAccesses(first, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

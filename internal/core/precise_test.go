@@ -45,7 +45,8 @@ func TestPerSetSRBSupersetOfGlobal(t *testing.T) {
 		a := absint.New(p, cfg)
 		global := a.ClassifySRB()
 		for set := 0; set < cfg.Sets; set++ {
-			perSet := a.ClassifySet(set, 1)
+			perSet := make([]chmc.Class, len(a.Refs()))
+			a.ClassifySetByAssocInto([][]chmc.Class{1: perSet}, set)
 			for _, r := range a.Refs() {
 				if r.Set != set {
 					continue
@@ -74,7 +75,8 @@ func TestPerSetSRBSeesTemporalLocality(t *testing.T) {
 
 	foundImprovement := false
 	for set := 0; set < cfg.Sets; set++ {
-		perSet := a.ClassifySet(set, 1)
+		perSet := make([]chmc.Class, len(a.Refs()))
+		a.ClassifySetByAssocInto([][]chmc.Class{1: perSet}, set)
 		for _, r := range a.Refs() {
 			if r.Set != set {
 				continue

@@ -259,7 +259,7 @@ func BenchmarkCoarsenDeepTail(b *testing.B) {
 	d := benchTailDist(4096, 16).Convolve(benchTailDist(4096, 17))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = d.CoarsenTo(4096)
+		_ = d.CoarsenToWith(4096, CoarsenLeastError)
 	}
 }
 
@@ -280,6 +280,6 @@ func BenchmarkCoarsenChain(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = d.CoarsenTo(4096)
+		_ = d.CoarsenToWith(4096, CoarsenLeastError)
 	}
 }

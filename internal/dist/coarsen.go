@@ -62,7 +62,7 @@
 // with a run-span eligibility cap that keeps the final hard coarsen
 // from collapsing a pre-thinned tail into the support maximum. The
 // classic engines remain the only ones reachable through the public
-// CoarsenTo/CoarsenToWith API; see the method comments and reduce.go
+// CoarsenToWith API; see the method comment and reduce.go
 // for how the executor splits its error budget across tree nodes.
 package dist
 
@@ -125,14 +125,6 @@ func ParseCoarsenStrategy(s string) (CoarsenStrategy, error) {
 		return 0, fmt.Errorf("dist: unknown coarsening strategy %q (want %q or %q)",
 			s, CoarsenLeastError.String(), CoarsenKeepHeaviest.String())
 	}
-}
-
-// CoarsenTo bounds the support to at most maxSupport points using the
-// default CoarsenLeastError strategy. A maxSupport <= 0 disables the
-// cap entirely (returns the receiver unchanged); callers own the
-// support growth in that case.
-func (d *Dist) CoarsenTo(maxSupport int) *Dist {
-	return d.CoarsenToWith(maxSupport, CoarsenLeastError)
 }
 
 // CoarsenToWith bounds the support to at most maxSupport points with

@@ -340,7 +340,7 @@ func TestConvolveDenseStrideBitIdentical(t *testing.T) {
 	s := new(scratch)
 	for _, tc := range pairs {
 		a, b := tc.a, tc.b
-		base := a.Min() + b.Min()
+		base := a.values[0] + b.values[0]
 		span := uint64(a.Max() + b.Max() - base)
 		want := naiveConvolve(a, b)
 		gs := []uint64{1}
@@ -366,7 +366,7 @@ func TestConvolveDenseStrideBitIdentical(t *testing.T) {
 
 	for _, tc := range segmentCases() {
 		a, b := tc.a, tc.b
-		base := a.Min() + b.Min()
+		base := a.values[0] + b.values[0]
 		g := strideGCD(a, b)
 		if tc.stride > 1 && g != uint64(tc.stride) {
 			t.Fatalf("%s: corpus bug: common stride %d, want %d", tc.name, g, tc.stride)

@@ -23,20 +23,20 @@
 // would corrupt Max), and the remaining total mass must be 1 within
 // MassTolerance — inputs further away are rejected, inputs within the
 // tolerance are rescaled to exactly sum to 1. Operations (Convolve,
-// CoarsenTo, Shift) conserve total mass to floating-point accuracy and
-// never renormalize.
+// CoarsenToWith, Shift) conserve total mass to floating-point accuracy
+// and never renormalize.
 //
 // # Soundness contract of coarsening
 //
-// CoarsenTo and CoarsenToWith bound the support size by merging atoms,
-// always moving mass to a LARGER value (the support maximum is always
-// retained). Mass therefore only ever moves upward, so for every
-// threshold t the coarsened exceedance probability is >= the exact
-// one: the coarsened distribution is a sound (pessimistic) upper bound
-// on the exceedance curve, and any pWCET quantile read from it can
-// only grow. It never under-approximates exceedance. The contract
-// holds for every CoarsenStrategy; the strategies differ only in how
-// tight the bound stays (see coarsen.go).
+// CoarsenToWith bounds the support size by merging atoms, always moving
+// mass to a LARGER value (the support maximum is always retained). Mass
+// therefore only ever moves upward, so for every threshold t the
+// coarsened exceedance probability is >= the exact one: the coarsened
+// distribution is a sound (pessimistic) upper bound on the exceedance
+// curve, and any pWCET quantile read from it can only grow. It never
+// under-approximates exceedance. The contract holds for every
+// CoarsenStrategy; the strategies differ only in how tight the bound
+// stays (see coarsen.go).
 package dist
 
 import (
@@ -163,9 +163,6 @@ func (d *Dist) Len() int { return len(d.values) }
 // Max returns the largest support value.
 func (d *Dist) Max() int64 { return d.values[len(d.values)-1] }
 
-// Min returns the smallest support value.
-func (d *Dist) Min() int64 { return d.values[0] }
-
 // Mass returns the total probability mass (1 up to floating-point
 // error of the operations applied since New).
 func (d *Dist) Mass() float64 { return d.ccdf[0] + d.probs[0] }
@@ -230,25 +227,6 @@ func (d *Dist) QuantileExceedance(p float64) int64 {
 	return d.values[i]
 }
 
-// Quantile returns the smallest support value v with P(X <= v) >= p
-// (the usual CDF quantile). The CDF's supremum is Mass() — exactly 1
-// after New, but possibly a few ulps below after long operation chains
-// — so the boundary behavior is defined in terms of Mass(), not 1:
-//
-//   - p > Mass() (which includes every p > 1): no support value
-//     qualifies; Quantile returns Max(), the sound top of the support.
-//   - p == Mass(): returns Max(), the unique value whose CDF reaches
-//     the full mass (every atom carries strictly positive probability).
-//   - p <= 0: every value qualifies; returns Min().
-func (d *Dist) Quantile(p float64) int64 {
-	mass := d.Mass()
-	i := sort.Search(len(d.values), func(i int) bool { return mass-d.ccdf[i] >= p })
-	if i == len(d.values) {
-		i = len(d.values) - 1
-	}
-	return d.values[i]
-}
-
 // Shift returns the distribution of X + delta. The probability
 // vectors are shared with the receiver (both are immutable).
 //
@@ -278,10 +256,6 @@ func (d *Dist) Shift(delta int64) *Dist {
 	}
 	return out
 }
-
-// Add is the sum of two independent random variables — an alias for
-// Convolve kept for call sites that read better additively.
-func (d *Dist) Add(o *Dist) *Dist { return d.Convolve(o) }
 
 // DominatedBy reports whether d is stochastically dominated by o up to
 // tol: for every threshold t, P(d > t) <= P(o > t) + tol. The CCDFs

@@ -58,8 +58,8 @@ func TestNewMergesAndDrops(t *testing.T) {
 	if d.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", d.Len())
 	}
-	if d.Max() != 5 || d.Min() != 0 {
-		t.Errorf("support [%d,%d], want [0,5]", d.Min(), d.Max())
+	if d.Max() != 5 || d.values[0] != 0 {
+		t.Errorf("support [%d,%d], want [0,5]", d.values[0], d.Max())
 	}
 	pts := d.Points()
 	if pts[0] != (Point{0, 0.5}) || pts[1] != (Point{5, 0.5}) {
@@ -69,13 +69,13 @@ func TestNewMergesAndDrops(t *testing.T) {
 
 func TestDegenerate(t *testing.T) {
 	d := Degenerate(42)
-	if d.Len() != 1 || d.Max() != 42 || d.Min() != 42 || d.Mass() != 1 {
+	if d.Len() != 1 || d.Max() != 42 || d.values[0] != 42 || d.Mass() != 1 {
 		t.Fatalf("bad degenerate: %+v", d)
 	}
 	if d.CCDF(41) != 1 || d.CCDF(42) != 0 {
 		t.Error("degenerate CCDF wrong")
 	}
-	if d.QuantileExceedance(0.5) != 42 || d.Quantile(0.5) != 42 {
+	if d.QuantileExceedance(0.5) != 42 {
 		t.Error("degenerate quantiles wrong")
 	}
 	if d.Mean() != 42 {
@@ -83,8 +83,8 @@ func TestDegenerate(t *testing.T) {
 	}
 }
 
-// TestGoldenCCDFAndQuantiles checks CCDF, QuantileExceedance and
-// Quantile against a hand-computed table for a four-atom distribution.
+// TestGoldenCCDFAndQuantiles checks CCDF and QuantileExceedance against
+// a hand-computed table for a four-atom distribution.
 func TestGoldenCCDFAndQuantiles(t *testing.T) {
 	d := mustNew(t, []Point{{0, 0.9}, {10, 0.09}, {20, 0.009}, {30, 0.001}})
 	// CCDF: P(X > t).
@@ -111,19 +111,6 @@ func TestGoldenCCDFAndQuantiles(t *testing.T) {
 	for _, c := range qe {
 		if got := d.QuantileExceedance(c.p); got != c.want {
 			t.Errorf("QuantileExceedance(%g) = %d, want %d", c.p, got, c.want)
-		}
-	}
-	// Quantile: smallest support value with CDF >= p.
-	q := []struct {
-		p    float64
-		want int64
-	}{
-		{0, 0}, {0.5, 0}, {0.9, 0}, {0.91, 10}, {0.99, 10},
-		{0.995, 20}, {0.999, 20}, {0.9999, 30}, {1, 30}, {2, 30},
-	}
-	for _, c := range q {
-		if got := d.Quantile(c.p); got != c.want {
-			t.Errorf("Quantile(%g) = %d, want %d", c.p, got, c.want)
 		}
 	}
 }
@@ -180,11 +167,11 @@ func TestGoldenConvolve(t *testing.T) {
 func TestConvolveDegenerateIsShift(t *testing.T) {
 	a := mustNew(t, []Point{{3, 0.4}, {8, 0.6}})
 	c := a.Convolve(Degenerate(100))
-	if c.Len() != 2 || c.Min() != 103 || c.Max() != 108 {
+	if c.Len() != 2 || c.values[0] != 103 || c.Max() != 108 {
 		t.Fatalf("degenerate convolve: %v", c.Points())
 	}
 	c2 := Degenerate(100).Convolve(a)
-	if c2.Min() != 103 || c2.Max() != 108 {
+	if c2.values[0] != 103 || c2.Max() != 108 {
 		t.Fatalf("degenerate convolve (flipped): %v", c2.Points())
 	}
 }
@@ -285,8 +272,8 @@ func TestConvolveOverflowPanics(t *testing.T) {
 func TestShift(t *testing.T) {
 	d := mustNew(t, []Point{{0, 0.5}, {10, 0.5}})
 	s := d.Shift(7)
-	if s.Min() != 7 || s.Max() != 17 {
-		t.Errorf("shift support [%d,%d]", s.Min(), s.Max())
+	if s.values[0] != 7 || s.Max() != 17 {
+		t.Errorf("shift support [%d,%d]", s.values[0], s.Max())
 	}
 	if s.CCDF(7) != 0.5 || s.CCDF(16) != 0.5 || s.CCDF(17) != 0 {
 		t.Error("shift CCDF wrong")
@@ -294,7 +281,7 @@ func TestShift(t *testing.T) {
 	if d.Shift(0) != d {
 		t.Error("Shift(0) must return the receiver")
 	}
-	if d.Min() != 0 {
+	if d.values[0] != 0 {
 		t.Error("Shift mutated the receiver")
 	}
 }
@@ -332,32 +319,16 @@ func TestShiftOverflowPanics(t *testing.T) {
 }
 
 // TestQuantileBoundarySemantics pins the documented boundary behavior
-// of Quantile, QuantileExceedance and CCDF on a sub-unit-mass
-// distribution (as arises after long mass-conserving-but-not-
-// renormalizing operation chains; built directly via fromSorted so the
-// boundary probabilities are exact powers of two). The doc promises:
-// Quantile returns Max() for every p > Mass() — not only p > 1 — and
-// at p == Mass(); Min() for p <= 0; QuantileExceedance returns Max()
-// at p == 0; CCDF below the support minimum is Mass(), not 1.
+// of QuantileExceedance and CCDF on a sub-unit-mass distribution (as
+// arises after long mass-conserving-but-not-renormalizing operation
+// chains; built directly via fromSorted so the boundary probabilities
+// are exact powers of two). The doc promises: QuantileExceedance
+// returns Max() at p == 0; CCDF below the support minimum is Mass(),
+// not 1.
 func TestQuantileBoundarySemantics(t *testing.T) {
 	sub := fromSorted([]int64{0, 10, 20}, []float64{0.5, 0.25, 0.125})
 	if m := sub.Mass(); m != 0.875 {
 		t.Fatalf("test construction: Mass = %g, want 0.875", m)
-	}
-	q := []struct {
-		p    float64
-		want int64
-	}{
-		{-1, 0}, {0, 0}, {0.5, 0}, {0.75, 10}, {0.8, 20},
-		{0.875, 20},         // p == Mass(): the full-mass value
-		{0.875 + 1e-12, 20}, // p slightly above Mass(): clamps to Max
-		{0.9, 20}, {1, 20},  // p in (Mass, 1]: same clamp, per the doc
-		{2, 20}, // p > 1: the historically documented case
-	}
-	for _, c := range q {
-		if got := sub.Quantile(c.p); got != c.want {
-			t.Errorf("Quantile(%g) = %d, want %d", c.p, got, c.want)
-		}
 	}
 	qe := []struct {
 		p    float64
@@ -376,29 +347,6 @@ func TestQuantileBoundarySemantics(t *testing.T) {
 	for _, tt := range []int64{-100, -1} {
 		if got := sub.CCDF(tt); got != 0.875 {
 			t.Errorf("CCDF(%d) = %g, want Mass() = 0.875", tt, got)
-		}
-	}
-	// A unit-mass distribution keeps the familiar behavior: Mass() == 1
-	// and p == 1 selects Max().
-	unit := mustNew(t, []Point{{0, 0.5}, {10, 0.5}})
-	if got := unit.Quantile(1); got != 10 {
-		t.Errorf("unit Quantile(1) = %d, want 10", got)
-	}
-	if got := unit.Quantile(math.Nextafter(1, 2)); got != 10 {
-		t.Errorf("unit Quantile(1+ulp) = %d, want 10", got)
-	}
-}
-
-func TestAddIsConvolve(t *testing.T) {
-	a := mustNew(t, []Point{{1, 0.5}, {2, 0.5}})
-	b := mustNew(t, []Point{{10, 0.5}, {20, 0.5}})
-	x, y := a.Add(b), a.Convolve(b)
-	if x.Len() != y.Len() {
-		t.Fatal("Add disagrees with Convolve")
-	}
-	for i, p := range x.Points() {
-		if y.Points()[i] != p {
-			t.Fatal("Add disagrees with Convolve")
 		}
 	}
 }
@@ -431,7 +379,7 @@ func TestMean(t *testing.T) {
 // atom, the maximum always survives.
 func TestGoldenCoarsenTo(t *testing.T) {
 	d := mustNew(t, []Point{{0, 0.5}, {1, 0.3}, {2, 0.1}, {3, 0.06}, {4, 0.04}})
-	c := d.CoarsenTo(3)
+	c := d.CoarsenToWith(3, CoarsenLeastError)
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", c.Len())
 	}
@@ -444,13 +392,15 @@ func TestGoldenCoarsenTo(t *testing.T) {
 		}
 	}
 	// No-op cases return the receiver untouched.
-	if d.CoarsenTo(5) != d || d.CoarsenTo(100) != d || d.CoarsenTo(0) != d || d.CoarsenTo(-1) != d {
-		t.Error("CoarsenTo must be a no-op when the support already fits")
+	for _, n := range []int{5, 100, 0, -1} {
+		if d.CoarsenToWith(n, CoarsenLeastError) != d {
+			t.Errorf("CoarsenToWith(%d) must be a no-op when the support already fits", n)
+		}
 	}
 	// Collapsing to a single atom puts all mass on the maximum.
-	one := d.CoarsenTo(1)
+	one := d.CoarsenToWith(1, CoarsenLeastError)
 	if one.Len() != 1 || one.Max() != 4 || math.Abs(one.Mass()-1) > 1e-12 {
-		t.Errorf("CoarsenTo(1) = %v", one.Points())
+		t.Errorf("CoarsenToWith(1) = %v", one.Points())
 	}
 }
 

@@ -42,7 +42,7 @@ func checkMass(t *testing.T, d *Dist, context string) {
 	}
 }
 
-// TestPropertyMassConserved: Convolve, CoarsenTo and Shift all
+// TestPropertyMassConserved: Convolve, CoarsenToWith and Shift all
 // conserve total probability mass to within 1e-12.
 func TestPropertyMassConserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -50,7 +50,7 @@ func TestPropertyMassConserved(t *testing.T) {
 		a := randomDist(t, rng, 30)
 		b := randomDist(t, rng, 30)
 		checkMass(t, a.Convolve(b), "Convolve")
-		checkMass(t, a.CoarsenTo(1+rng.Intn(a.Len())), "CoarsenTo")
+		checkMass(t, a.CoarsenToWith(1+rng.Intn(a.Len()), CoarsenLeastError), "CoarsenToWith")
 		checkMass(t, a.Shift(int64(rng.Intn(2001)-1000)), "Shift")
 	}
 }
@@ -62,7 +62,7 @@ func TestPropertyCCDFShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for iter := 0; iter < 200; iter++ {
 		d := randomDist(t, rng, 40)
-		if got := d.CCDF(d.Min() - 1); math.Abs(got-d.Mass()) > 1e-15 {
+		if got := d.CCDF(d.values[0] - 1); math.Abs(got-d.Mass()) > 1e-15 {
 			t.Fatalf("CCDF below support = %g, want mass %g", got, d.Mass())
 		}
 		if d.CCDF(d.Max()) != 0 {
@@ -77,7 +77,7 @@ func TestPropertyCCDFShape(t *testing.T) {
 		}
 		// Spot-check arbitrary thresholds too, including between atoms.
 		prev = math.Inf(1)
-		for x := d.Min() - 2; x <= d.Max()+2; x += 1 + int64(rng.Intn(3)) {
+		for x := d.values[0] - 2; x <= d.Max()+2; x += 1 + int64(rng.Intn(3)) {
 			c := d.CCDF(x)
 			if c > prev {
 				t.Fatalf("CCDF(%d) = %g above CCDF at smaller t %g", x, c, prev)
@@ -94,7 +94,7 @@ func TestPropertyCoarsenSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 200; iter++ {
 		d := randomDist(t, rng, 50)
-		c := d.CoarsenTo(1 + rng.Intn(d.Len()))
+		c := d.CoarsenToWith(1+rng.Intn(d.Len()), CoarsenLeastError)
 		for _, pt := range d.Curve() {
 			if got := c.CCDF(pt.Value); got < pt.Prob-1e-15 {
 				t.Fatalf("coarse CCDF(%d) = %g below exact %g", pt.Value, got, pt.Prob)
@@ -172,7 +172,7 @@ func TestPropertyQuantileConsistency(t *testing.T) {
 			if d.CCDF(v) > p {
 				t.Fatalf("CCDF(quantile %d) = %g above target %g", v, d.CCDF(v), p)
 			}
-			if v > d.Min() && p < d.Mass() {
+			if v > d.values[0] && p < d.Mass() {
 				// The previous support atom must still exceed the target.
 				pts := d.Points()
 				for i := 1; i < len(pts); i++ {
@@ -193,13 +193,13 @@ func TestPropertyShiftInvariants(t *testing.T) {
 		d := randomDist(t, rng, 40)
 		delta := int64(rng.Intn(4001) - 2000)
 		s := d.Shift(delta)
-		if s.Min() != d.Min()+delta || s.Max() != d.Max()+delta {
+		if s.values[0] != d.values[0]+delta || s.Max() != d.Max()+delta {
 			t.Fatal("shift moved the support wrongly")
 		}
 		if s.QuantileExceedance(1e-6) != d.QuantileExceedance(1e-6)+delta {
 			t.Fatal("shift broke the quantile")
 		}
-		if s.CCDF(delta+d.Min()) != d.CCDF(d.Min()) {
+		if s.CCDF(delta+d.values[0]) != d.CCDF(d.values[0]) {
 			t.Fatal("shift changed a probability")
 		}
 	}

@@ -106,8 +106,8 @@ func buildMergePlan(ds []*Dist, maxSupport int) []mergeStep {
 // convolutions. For a power-of-two count of equal-size inputs the
 // schedule is the balanced pairwise tree (the paper's 16- and 256-set
 // geometries). Each partial product is coarsened with strategy to
-// maxSupport support points only when it exceeds the cap (CoarsenTo is
-// the identity below it), so the result carries the same soundness
+// maxSupport support points only when it exceeds the cap (CoarsenToWith
+// is the identity below it), so the result carries the same soundness
 // contract as the fold: a pessimistic upper bound on the exceedance
 // curve whenever the cap binds, the exact distribution otherwise.
 // maxSupport <= 0 disables coarsening.

@@ -16,7 +16,7 @@ import (
 func foldConvolve(ds []*Dist, maxSupport int) *Dist {
 	acc := Degenerate(0)
 	for _, d := range ds {
-		acc = acc.Convolve(d).CoarsenTo(maxSupport)
+		acc = acc.Convolve(d).CoarsenToWith(maxSupport, CoarsenLeastError)
 	}
 	return acc
 }
@@ -121,7 +121,7 @@ func TestConvolveAllEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	d := randomDist(t, rng, 40)
 	got := ConvolveAllWith([]*Dist{d}, 8, 4, CoarsenLeastError)
-	want := d.CoarsenTo(8)
+	want := d.CoarsenToWith(8, CoarsenLeastError)
 	if got.Len() != want.Len() {
 		t.Fatalf("single-dist reduction has %d atoms, want %d", got.Len(), want.Len())
 	}

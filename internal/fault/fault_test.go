@@ -157,6 +157,15 @@ func TestNewModel(t *testing.T) {
 	}
 }
 
+// faultyBlocks counts the faulty blocks of a fault map.
+func faultyBlocks(fm cache.FaultMap) int {
+	n := 0
+	for s := range fm {
+		n += fm.NumFaulty(s)
+	}
+	return n
+}
+
 func TestSampleFaultMapStatistics(t *testing.T) {
 	cfg := cache.PaperConfig()
 	m := Model{Pfail: 0, PBF: 0.25}
@@ -165,7 +174,7 @@ func TestSampleFaultMapStatistics(t *testing.T) {
 	blocks := 0
 	for i := 0; i < 2000; i++ {
 		fm := m.SampleFaultMap(rng, cfg)
-		total += fm.TotalFaulty()
+		total += faultyBlocks(fm)
 		blocks += cfg.Sets * cfg.Ways
 	}
 	rate := float64(total) / float64(blocks)
@@ -173,7 +182,7 @@ func TestSampleFaultMapStatistics(t *testing.T) {
 		t.Errorf("empirical fault rate %g, want ~0.25", rate)
 	}
 	zero := Model{PBF: 0}
-	if fm := zero.SampleFaultMap(rng, cfg); fm.TotalFaulty() != 0 {
+	if fm := zero.SampleFaultMap(rng, cfg); faultyBlocks(fm) != 0 {
 		t.Error("PBF=0 produced faults")
 	}
 }

@@ -241,7 +241,7 @@ func TestSampleFaultMapDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(fa, fb) {
 			t.Fatalf("draw %d: same seed produced different fault maps", i)
 		}
-		total += fa.TotalFaulty()
+		total += faultyBlocks(fa)
 	}
 	// Regression pin: the exact faulty-block count of this seeded stream.
 	// A change here means the sampling algorithm consumed the rng

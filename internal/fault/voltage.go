@@ -1,9 +1,6 @@
 package fault
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Voltage-dependent failure model.
 //
@@ -41,19 +38,6 @@ func DefaultVoltageModel() VoltageModel {
 	return VoltageModel{Vmin: 0.5, PfailAtVmin: 1e-3, Decade: 0.0667}
 }
 
-// Validate reports whether the model parameters are usable.
-func (m VoltageModel) Validate() error {
-	switch {
-	case m.PfailAtVmin <= 0 || m.PfailAtVmin > 1:
-		return fmt.Errorf("fault: PfailAtVmin %g outside (0,1]", m.PfailAtVmin)
-	case m.Decade <= 0:
-		return fmt.Errorf("fault: Decade must be positive, got %g", m.Decade)
-	case m.Vmin <= 0:
-		return fmt.Errorf("fault: Vmin must be positive, got %g", m.Vmin)
-	}
-	return nil
-}
-
 // Pfail returns the per-bit failure probability at the given supply
 // voltage. Voltages below Vmin extrapolate upward (clamped to 1).
 func (m VoltageModel) Pfail(voltage float64) float64 {
@@ -65,16 +49,4 @@ func (m VoltageModel) Pfail(voltage float64) float64 {
 		return 0
 	}
 	return p
-}
-
-// MinVoltageFor returns the lowest supply voltage at which the per-bit
-// failure probability stays at or below the given target — the DVFS
-// floor a designer can use once the pWCET analysis has established the
-// largest tolerable pfail.
-func (m VoltageModel) MinVoltageFor(pfailTarget float64) (float64, error) {
-	if pfailTarget <= 0 || pfailTarget >= 1 {
-		return 0, fmt.Errorf("fault: pfail target %g outside (0,1)", pfailTarget)
-	}
-	// Invert pfail(V): V = Vmin + Decade * log10(PfailAtVmin / target).
-	return m.Vmin + m.Decade*math.Log10(m.PfailAtVmin/pfailTarget), nil
 }

@@ -16,27 +16,15 @@ func Hit(site string) error { return nil }
 // Fires reports whether the site's control-flow toggle fired: never.
 func Fires(site string) bool { return false }
 
-// Enable arms a site; without the pwcetfault build tag it reports an
-// error so callers (cmd/pwcetd -fault, cmd/soak) fail loudly instead
-// of running an unarmed chaos scenario.
-func Enable(site, spec string) error { return errNotBuilt }
-
-// EnableSpecs arms several sites from "site=spec;site=spec" form; it
-// reports the same error as Enable in this build.
+// EnableSpecs arms several sites from "site=spec;site=spec" form.
+// Without the pwcetfault build tag it reports an error for any site, so
+// callers (cmd/pwcetd -fault, cmd/soak) fail loudly instead of running
+// an unarmed chaos scenario; the empty list arms nothing.
 func EnableSpecs(specs string) error {
 	if specs == "" {
 		return nil
 	}
 	return errNotBuilt
 }
-
-// Disable disarms a site (no-op here).
-func Disable(site string) {}
-
-// Reset disarms every site (no-op here).
-func Reset() {}
-
-// Active lists the armed sites: always empty here.
-func Active() []string { return nil }
 
 var errNotBuilt = errors.New("faultpoint: fault injection requires the pwcetfault build tag")

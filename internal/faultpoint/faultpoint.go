@@ -5,7 +5,7 @@
 //
 // The package mirrors the pwcetcheck sanitizer discipline: without the
 // pwcetfault build tag every probe compiles to an inlinable no-op and
-// Enable reports an error, so the default build carries zero injection
+// EnableSpecs reports an error, so the default build carries zero injection
 // machinery. With -tags pwcetfault the registry is live and fully
 // deterministic — firing decisions depend only on the spec and the
 // site's hit counter (probabilistic specs use a seeded generator), so a

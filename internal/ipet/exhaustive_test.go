@@ -3,7 +3,6 @@ package ipet
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/progen"
@@ -96,32 +95,5 @@ func TestExhaustiveWeightLenCheck(t *testing.T) {
 	p := b.MustBuild()
 	if _, err := ExhaustiveMax(p, []float64{1, 2, 3, 4, 5, 6, 7}, 100); err == nil && len(p.Blocks) != 7 {
 		t.Error("weight length mismatch not rejected")
-	}
-}
-
-func TestWriteLPSystem(t *testing.T) {
-	b := program.New("dump")
-	b.Func("main").Loop(3, func(l *program.Body) { l.Ops(2) })
-	p := b.MustBuild()
-	sys, err := NewSystem(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weights := make([]float64, len(p.Blocks))
-	for i := range weights {
-		weights[i] = float64(i + 1)
-	}
-	var sb strings.Builder
-	if err := sys.WriteLP(&sb, weights, 42); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"Maximize", "Subject To", "source = 1", "General", "End"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("LP dump missing %q:\n%s", want, out)
-		}
-	}
-	if err := sys.WriteLP(&sb, weights[:1], 0); err == nil {
-		t.Error("short weights accepted")
 	}
 }

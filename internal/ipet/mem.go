@@ -1,34 +1,12 @@
 package ipet
 
-// MemBytes estimates the resident heap bytes of the system: the sparse
-// constraint set, the per-block incoming-edge index, the objective
-// scratch and the warm simplex tableau. Like lp.Simplex.MemBytes, it is
-// an eviction-cost estimate (consistent, not byte-exact) for the
-// engine's bounded artifact memory.
-func (s *System) MemBytes() int64 {
-	const (
-		wordBytes        = 8
-		coefBytes        = 16 // {Var int; Val float64}
-		sliceHeaderBytes = 24
-	)
-	b := int64(cap(s.cons)) * (sliceHeaderBytes + 2*wordBytes) // Coefs header + Op + RHS
-	for _, c := range s.cons {
-		b += int64(cap(c.Coefs)) * coefBytes
-	}
-	b += int64(cap(s.inVars)) * sliceHeaderBytes
-	for _, vars := range s.inVars {
-		b += int64(cap(vars)) * wordBytes
-	}
-	b += s.WarmMemBytes()
-	return b
-}
-
 // WarmMemBytes estimates only the clone-private bytes of the system:
 // the warm simplex tableau and the objective scratch. Clone shares the
 // program, constraints and edge index with its source (read-only), so
 // evicting a warm clone frees exactly this much — it is the eviction
-// cost of a memoized WCET context, whereas MemBytes is the cost of an
-// independently built System.
+// cost of a memoized WCET context. Like lp.Simplex.MemBytes, it is an
+// eviction-cost estimate (consistent, not byte-exact) for the engine's
+// bounded artifact memory.
 func (s *System) WarmMemBytes() int64 {
 	const wordBytes = 8
 	b := int64(cap(s.obj)) * wordBytes

@@ -65,14 +65,14 @@ func TestComputeFMMLeavesSystemPristine(t *testing.T) {
 	a := absint.New(p, cfg)
 	base := a.ClassifyAll()
 
-	before, err := WCET(sys, a, base)
+	before, err := WCETCombined(sys, a, base, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ComputeFMM(sys, a, base, FMMOptions{Mechanism: cache.MechanismNone, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := WCET(sys, a, base)
+	after, err := WCETCombined(sys, a, base, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

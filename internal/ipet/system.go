@@ -12,7 +12,6 @@ package ipet
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/lp"
@@ -205,9 +204,6 @@ func (s *System) MaximizeBlockWeights(weights []float64, constant float64) (*Res
 	return &Result{Objective: objVal + constant, BlockCounts: counts, Integral: integral}, nil
 }
 
-// Program returns the program the system was built for.
-func (s *System) Program() *program.Program { return s.p }
-
 // Clone returns a System that shares the program, constraints and edge
 // maps (all read-only after NewSystem) but owns a private copy of the
 // warm simplex state (and a private objective scratch). Clones can run
@@ -235,33 +231,3 @@ func (s *System) resetFrom(src *System) error { return s.sx.CopyFrom(src.sx) }
 // per-System state: clones start without one, and resetFrom never
 // copies it. See lp.Simplex.SetCancel.
 func (s *System) SetCancel(probe func() error) { s.sx.SetCancel(probe) }
-
-// WriteLP dumps the system with the given block weights as a CPLEX LP
-// file (via lp.WriteLP), for debugging or solving with an external
-// solver. Variables are named eN (edges), source and sink.
-func (s *System) WriteLP(w io.Writer, weights []float64, constant float64) error {
-	if len(weights) != len(s.p.Blocks) {
-		return fmt.Errorf("ipet: %d weights for %d blocks", len(weights), len(s.p.Blocks))
-	}
-	obj := make([]float64, s.numVars)
-	for b, wt := range weights {
-		for _, v := range s.inVars[b] {
-			obj[v] += wt
-		}
-	}
-	name := func(j int) string {
-		switch j {
-		case s.numVars - 2:
-			return "source"
-		case s.numVars - 1:
-			return "sink"
-		default:
-			return fmt.Sprintf("e%d", j)
-		}
-	}
-	fmt.Fprintf(w, "\\ IPET system for %s (constant offset %g not encoded)\n", s.p.Name, constant)
-	return lp.WriteLP(w, lp.Problem{NumVars: s.numVars, Obj: obj, Cons: s.cons}, name)
-}
-
-// NumVars returns the number of ILP variables (edges + source + sink).
-func (s *System) NumVars() int { return s.numVars }

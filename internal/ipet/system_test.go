@@ -37,7 +37,7 @@ func analyze(t *testing.T, p *program.Program, cfg cache.Config) (*System, *absi
 		t.Fatal(err)
 	}
 	a := absint.New(p, cfg)
-	res, err := WCET(sys, a, a.ClassifyAll())
+	res, err := WCETCombined(sys, a, a.ClassifyAll(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,8 @@ func TestWCETSinglePathLoopExactlyMatchesSimulation(t *testing.T) {
 	b.Func("main").Loop(9, func(l *program.Body) { l.Ops(3) })
 	p := b.MustBuild()
 	_, _, res := analyze(t, p, cfg)
-	sim := simTime(t, p, cfg, cache.MechanismNone, cache.NewFaultMap(cfg.Sets, cfg.Ways), program.FirstChooser)
+	first := func(_ int, succs []int) int { return succs[0] }
+	sim := simTime(t, p, cfg, cache.MechanismNone, cache.NewFaultMap(cfg.Sets, cfg.Ways), first)
 	// Single-path program whose loop fits in the cache: all references
 	// are exactly classified, so the static WCET is exact.
 	if res.WCET != sim {
@@ -82,8 +83,9 @@ func TestWCETTakesWorstBranch(t *testing.T) {
 	)
 	p := b.MustBuild()
 	_, _, res := analyze(t, p, cfg)
+	first := func(_ int, succs []int) int { return succs[0] }
 	second := func(_ int, succs []int) int { return succs[1] }
-	simThen := simTime(t, p, cfg, cache.MechanismNone, cache.NewFaultMap(cfg.Sets, cfg.Ways), program.FirstChooser)
+	simThen := simTime(t, p, cfg, cache.MechanismNone, cache.NewFaultMap(cfg.Sets, cfg.Ways), first)
 	simElse := simTime(t, p, cfg, cache.MechanismNone, cache.NewFaultMap(cfg.Sets, cfg.Ways), second)
 	worst := simThen
 	if simElse > worst {
@@ -233,7 +235,7 @@ func missesPerSet(cfg cache.Config, mech cache.Mechanism, fm cache.FaultMap, tr 
 	out := make([]int64, cfg.Sets)
 	for _, a := range tr {
 		if !sim.Access(a) {
-			out[cfg.SetOf(a)]++
+			out[cfg.SetOfBlock(cfg.BlockAddr(a))]++
 		}
 	}
 	return out

@@ -56,7 +56,7 @@ func TestComputeHitBoundsDominatesHitExecutions(t *testing.T) {
 		}
 		a := absint.New(p, cfg)
 		base := a.ClassifyAll()
-		wres, err := WCET(sys, a, base)
+		wres, err := WCETCombined(sys, a, base, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,14 +130,14 @@ func TestComputeHitBoundsLeavesSystemPristine(t *testing.T) {
 	a := absint.New(p, cfg)
 	base := a.ClassifyAll()
 
-	before, err := WCET(sys, a, base)
+	before, err := WCETCombined(sys, a, base, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ComputeHitBounds(sys, a, base, HitBoundOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := WCET(sys, a, base)
+	after, err := WCETCombined(sys, a, base, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

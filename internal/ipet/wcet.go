@@ -25,23 +25,19 @@ type WCETResult struct {
 	DataHitRefs, DataFMRefs, DataMissRefs int
 }
 
-// WCET computes the fault-free worst-case execution time (Section II.B)
-// from the IPET system, the reference lists and their classifications.
+// WCETCombined computes the fault-free worst-case execution time
+// (Section II.B) from the IPET system, the reference lists and their
+// classifications: instruction fetches through ia and, when da is
+// non-nil, data accesses through da (built with absint.NewData against
+// the data-cache configuration). Both reference streams are evaluated
+// on the same worst-case path: the ILP objective is the sum of their
+// block weights.
 //
 // Cost model (paper Section IV.A): every instruction fetch costs the
 // cache hit latency; every always-miss (or not-classified, treated alike)
 // reference adds the miss penalty on each execution; every first-miss
 // reference adds the miss penalty once per run, accounted as a constant
-// since the persistence scope is the whole program.
-func WCET(sys *System, a *absint.Analyzer, classes []chmc.Class) (*WCETResult, error) {
-	return WCETCombined(sys, a, classes, nil, nil)
-}
-
-// WCETCombined computes the fault-free WCET accounting both instruction
-// fetches (through ia) and, when da is non-nil, data accesses (through
-// da, built with absint.NewData against the data-cache configuration).
-// Both reference streams are evaluated on the same worst-case path: the
-// ILP objective is the sum of their block weights. Each data access
+// since the persistence scope is the whole program. Each data access
 // costs the data cache's hit latency, plus its miss penalty per the
 // data classification.
 func WCETCombined(sys *System, ia *absint.Analyzer, icls []chmc.Class,
@@ -101,9 +97,6 @@ func WCETCombined(sys *System, ia *absint.Analyzer, icls []chmc.Class,
 // number of fault-induced misses of cache set s when exactly f of its
 // blocks are faulty, maximized over all structurally feasible paths.
 type FMM [][]int64
-
-// Entry returns FMM[set][faulty].
-func (m FMM) Entry(set, faulty int) int64 { return m[set][faulty] }
 
 // FMMOptions selects how the all-ways-faulty column (f = W) is computed.
 type FMMOptions struct {

@@ -88,13 +88,3 @@ func MustGet(name string) *program.Program {
 	}
 	return p
 }
-
-// All builds every benchmark, in Names() order.
-func All() []*program.Program {
-	names := Names()
-	out := make([]*program.Program, len(names))
-	for i, n := range names {
-		out[i] = MustGet(n)
-	}
-	return out
-}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/program"
 )
 
 func TestSuiteComplete(t *testing.T) {
@@ -39,7 +38,8 @@ func TestAllBuildAndValidate(t *testing.T) {
 				t.Errorf("suspiciously small program: %d instructions", p.NumInstructions())
 			}
 			// Traces must terminate (structural sanity of loops).
-			tr, err := p.Trace(program.FirstChooser, 5_000_000)
+			first := func(_ int, succs []int) int { return succs[0] }
+			tr, err := p.Trace(first, 5_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,13 +65,6 @@ func TestMustGetPanics(t *testing.T) {
 	MustGet("unknown")
 }
 
-func TestAllReturnsEverything(t *testing.T) {
-	ps := All()
-	if len(ps) != 25 {
-		t.Fatalf("All returned %d programs", len(ps))
-	}
-}
-
 // TestSizeSpread checks the suite spans the code-size spectrum the
 // categories need. Like the real Mälardalen binaries at gcc -O0, every
 // program carries substantial once-executed code, so total sizes all
@@ -82,7 +75,8 @@ func TestSizeSpread(t *testing.T) {
 	cfg := cache.PaperConfig()
 	min, max := 1<<30, 0
 	large := 0
-	for _, p := range All() {
+	for _, name := range Names() {
+		p := MustGet(name)
 		bytes := p.CodeBytes()
 		if bytes < min {
 			min = bytes

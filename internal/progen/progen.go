@@ -36,13 +36,6 @@ func DefaultParams() Params {
 	return Params{MaxDepth: 3, MaxItems: 4, MaxOps: 8, MaxBound: 5, Helpers: 3}
 }
 
-// DataParams is DefaultParams plus a pool of data addresses.
-func DataParams() Params {
-	p := DefaultParams()
-	p.DataBlocks = 12
-	return p
-}
-
 // Random generates a random program. Helper function i may only call
 // helpers with larger indices, which rules out recursion by construction.
 func Random(rng *rand.Rand, p Params) *program.Program {

@@ -3,8 +3,6 @@ package progen
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/program"
 )
 
 func TestRandomProgramsValid(t *testing.T) {
@@ -13,7 +11,8 @@ func TestRandomProgramsValid(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if _, err := p.Trace(program.FirstChooser, 10_000_000); err != nil {
+		first := func(_ int, succs []int) int { return succs[0] }
+		if _, err := p.Trace(first, 10_000_000); err != nil {
 			t.Fatalf("seed %d: trace: %v", seed, err)
 		}
 	}

@@ -27,7 +27,7 @@ func (b *Builder) Build() (*Program, error) {
 	}
 
 	// Layout: functions back to back in definition order.
-	addr := b.baseAddr
+	var addr uint32
 	for _, name := range b.order {
 		pf := protos[name]
 		pf.addr = addr

@@ -4,13 +4,12 @@ import "fmt"
 
 // Builder assembles a named program from structured function definitions.
 // Functions are laid out in memory in definition order, starting at
-// BaseAddr; the first function defined is the program entry point.
+// address 0; the first function defined is the program entry point.
 type Builder struct {
-	name     string
-	baseAddr uint32
-	funcs    map[string]*funcDef
-	order    []string
-	err      error
+	name  string
+	funcs map[string]*funcDef
+	order []string
+	err   error
 }
 
 // New returns a Builder for a program with the given name. Programs are
@@ -18,17 +17,6 @@ type Builder struct {
 // gcc/linker layout; the analyses only depend on relative placement).
 func New(name string) *Builder {
 	return &Builder{name: name, funcs: make(map[string]*funcDef)}
-}
-
-// SetBaseAddr changes the address of the first instruction of the first
-// function. It must be a multiple of InstrBytes.
-func (b *Builder) SetBaseAddr(addr uint32) *Builder {
-	if addr%InstrBytes != 0 {
-		b.fail(fmt.Errorf("base address %#x not instruction-aligned", addr))
-		return b
-	}
-	b.baseAddr = addr
-	return b
 }
 
 // Func defines a function and returns the Body used to populate it.

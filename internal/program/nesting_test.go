@@ -49,7 +49,7 @@ func TestDeepNesting(t *testing.T) {
 		t.Error("middle loop must have a parent")
 	}
 	// The trace through the first case terminates.
-	if _, err := p.Trace(FirstChooser, 100000); err != nil {
+	if _, err := p.Trace(firstChooser, 100000); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -122,7 +122,7 @@ func TestConsecutiveCallsAndLoops(t *testing.T) {
 	if len(p.Loops) != 3 { // main's loop + 2 copies of b's loop
 		t.Errorf("loops = %d, want 3", len(p.Loops))
 	}
-	tr, err := p.Trace(FirstChooser, 100000)
+	tr, err := p.Trace(firstChooser, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,7 @@
 // footprint.
 package program
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // InstrBytes is the size of one instruction in bytes (MIPS-like fixed
 // 32-bit encoding).
@@ -56,18 +52,6 @@ type Block struct {
 	// Loop is the ID of the innermost loop containing the block, or -1.
 	Loop int
 }
-
-// Addrs returns the byte address of every instruction in the block.
-func (b *Block) Addrs() []uint32 {
-	out := make([]uint32, b.NumInstr)
-	for i := range out {
-		out[i] = b.Addr + uint32(i*InstrBytes)
-	}
-	return out
-}
-
-// EndAddr returns the address one past the last instruction of the block.
-func (b *Block) EndAddr() uint32 { return b.Addr + uint32(b.NumInstr*InstrBytes) }
 
 // Edge is a directed CFG edge.
 type Edge struct{ From, To int }
@@ -125,9 +109,6 @@ func (p *Program) NumInstructions() int {
 
 // CodeBytes returns the static code size in bytes.
 func (p *Program) CodeBytes() int { return p.NumInstructions() * InstrBytes }
-
-// Block returns the block with the given ID.
-func (p *Program) Block(id int) *Block { return p.Blocks[id] }
 
 // Validate checks structural invariants of the assembled program. A nil
 // return guarantees the CFG is usable by the analyses: consistent edges,
@@ -201,28 +182,6 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// MaxAddr returns the highest instruction address used, plus InstrBytes.
-func (p *Program) MaxAddr() uint32 {
-	var max uint32
-	for _, b := range p.Blocks {
-		if e := b.EndAddr(); e > max {
-			max = e
-		}
-	}
-	return max
-}
-
-// BlocksInAddrOrder returns block IDs sorted by start address (stable on
-// ties, empty blocks included). Useful for deterministic reporting.
-func (p *Program) BlocksInAddrOrder() []int {
-	ids := make([]int, len(p.Blocks))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.SliceStable(ids, func(a, b int) bool { return p.Blocks[ids[a]].Addr < p.Blocks[ids[b]].Addr })
-	return ids
-}
-
 func contains(xs []int, x int) bool {
 	for _, v := range xs {
 		if v == x {
@@ -230,30 +189,4 @@ func contains(xs []int, x int) bool {
 		}
 	}
 	return false
-}
-
-// Dump renders the CFG as text for debugging: one line per block with
-// address range, function, loop membership, data accesses and edges,
-// followed by the loop table.
-func (p *Program) Dump() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "program %s: %d blocks, %d loops, entry %d, exit %d\n",
-		p.Name, len(p.Blocks), len(p.Loops), p.Entry, p.Exit)
-	for _, b := range p.Blocks {
-		fmt.Fprintf(&sb, "  b%-3d %#06x+%-3d %-12s", b.ID, b.Addr, b.NumInstr, b.Func)
-		if b.Loop >= 0 {
-			fmt.Fprintf(&sb, " L%d", b.Loop)
-		} else {
-			fmt.Fprint(&sb, "   ")
-		}
-		if len(b.Data) > 0 {
-			fmt.Fprintf(&sb, " data:%d", len(b.Data))
-		}
-		fmt.Fprintf(&sb, " -> %v\n", b.Succs)
-	}
-	for _, l := range p.Loops {
-		fmt.Fprintf(&sb, "  L%-3d header b%d bound %d parent %d body %v\n",
-			l.ID, l.Header, l.Bound, l.Parent, l.Blocks)
-	}
-	return sb.String()
 }

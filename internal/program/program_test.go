@@ -2,7 +2,6 @@ package program
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -22,7 +21,7 @@ func TestStraightLine(t *testing.T) {
 	if p.Entry != p.Exit {
 		t.Error("straight-line program must have entry == exit")
 	}
-	tr, err := p.Trace(FirstChooser, 1000)
+	tr, err := p.Trace(firstChooser, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestLoopStructure(t *testing.T) {
 	}
 	// Trace: pre(2) + 6 header visits (2 each) + 5 iterations of (3+1) +
 	// post(1) + return(1) = 2 + 12 + 20 + 2 = 36.
-	tr, err := p.Trace(FirstChooser, 10000)
+	tr, err := p.Trace(firstChooser, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestNestedLoops(t *testing.T) {
 		t.Errorf("outer header innermost loop = %d, want %d", p.Blocks[outer.Header].Loop, outer.ID)
 	}
 	// Inner body instructions appear 3*4 = 12 times in the trace.
-	tr, err := p.Trace(FirstChooser, 100000)
+	tr, err := p.Trace(firstChooser, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func TestIfElseLayoutAndTrace(t *testing.T) {
 		t.Errorf("NumInstructions = %d, want 18", got)
 	}
 	// then path: 2 + 6 + 3 = 11 fetches; else path: 2 + 7 + 3 = 12.
-	trThen, err := p.Trace(FirstChooser, 1000)
+	trThen, err := p.Trace(firstChooser, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +171,7 @@ func TestIfWithoutElse(t *testing.T) {
 	if got := p.NumInstructions(); got != 5 {
 		t.Errorf("NumInstructions = %d, want 5", got)
 	}
-	tr, _ := p.Trace(FirstChooser, 100)
+	tr, _ := p.Trace(firstChooser, 100)
 	if len(tr) != 5 {
 		t.Errorf("then trace = %d, want 5", len(tr))
 	}
@@ -242,7 +241,7 @@ func TestCallSharedAddresses(t *testing.T) {
 		t.Error("leaf contexts must share the same address range")
 	}
 	// The trace visits the leaf address range twice.
-	tr, err := p.Trace(FirstChooser, 1000)
+	tr, err := p.Trace(firstChooser, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +264,7 @@ func TestCallInLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := p.Trace(FirstChooser, 10000)
+	tr, err := p.Trace(firstChooser, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +336,6 @@ func TestBuilderErrors(t *testing.T) {
 
 func TestFunctionLayoutSequential(t *testing.T) {
 	b := New("layout")
-	b.SetBaseAddr(0x100)
 	b.Func("main").Ops(3).Call("f").Call("g")
 	b.Func("f").Ops(8)
 	b.Func("g").Ops(2)
@@ -345,30 +343,34 @@ func TestFunctionLayoutSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Funcs[0].Addr != 0x100 {
-		t.Errorf("main at %#x, want 0x100", p.Funcs[0].Addr)
+	if p.Funcs[0].Addr != 0 {
+		t.Errorf("main at %#x, want 0", p.Funcs[0].Addr)
 	}
 	// main: 3 ops + 2 calls + return = 6 instructions.
-	if p.Funcs[1].Addr != 0x100+6*InstrBytes {
-		t.Errorf("f at %#x, want %#x", p.Funcs[1].Addr, 0x100+6*InstrBytes)
+	if p.Funcs[1].Addr != 6*InstrBytes {
+		t.Errorf("f at %#x, want %#x", p.Funcs[1].Addr, 6*InstrBytes)
 	}
 	// f: 8 + return = 9 instructions.
-	if p.Funcs[2].Addr != 0x100+(6+9)*InstrBytes {
-		t.Errorf("g at %#x, want %#x", p.Funcs[2].Addr, 0x100+(6+9)*InstrBytes)
+	if p.Funcs[2].Addr != (6+9)*InstrBytes {
+		t.Errorf("g at %#x, want %#x", p.Funcs[2].Addr, (6+9)*InstrBytes)
 	}
 	// Address ranges of distinct functions must not overlap.
-	if p.MaxAddr() != 0x100+uint32((6+9+3)*InstrBytes) {
-		t.Errorf("MaxAddr = %#x", p.MaxAddr())
+	var end uint32
+	for _, blk := range p.Blocks {
+		end = max(end, blk.Addr+uint32(blk.NumInstr*InstrBytes))
+	}
+	if end != (6+9+3)*InstrBytes {
+		t.Errorf("code ends at %#x, want %#x", end, (6+9+3)*InstrBytes)
 	}
 }
 
 func TestTraceDeterministic(t *testing.T) {
 	p := buildComplex(t)
-	t1, err := p.Trace(FirstChooser, 1e6)
+	t1, err := p.Trace(firstChooser, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := p.Trace(FirstChooser, 1e6)
+	t2, err := p.Trace(firstChooser, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,6 +393,10 @@ func TestRandomTracesTerminate(t *testing.T) {
 		}
 	}
 }
+
+// firstChooser always takes the first successor (the then-branch or the
+// first case).
+func firstChooser(_ int, succs []int) int { return succs[0] }
 
 func buildComplex(t *testing.T) *Program {
 	t.Helper()
@@ -429,40 +435,5 @@ func TestComplexValidates(t *testing.T) {
 	}
 	if p.Blocks[p.Exit].NumInstr == 0 {
 		t.Log("exit block empty (join) — acceptable")
-	}
-	if ids := p.BlocksInAddrOrder(); len(ids) != len(p.Blocks) {
-		t.Error("BlocksInAddrOrder dropped blocks")
-	}
-}
-
-func TestBlockAddrs(t *testing.T) {
-	b := &Block{Addr: 0x20, NumInstr: 3}
-	got := b.Addrs()
-	want := []uint32{0x20, 0x24, 0x28}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Addrs[%d] = %#x, want %#x", i, got[i], want[i])
-		}
-	}
-	if b.EndAddr() != 0x2c {
-		t.Errorf("EndAddr = %#x, want 0x2c", b.EndAddr())
-	}
-}
-
-func TestDump(t *testing.T) {
-	p := buildComplex(t)
-	out := p.Dump()
-	if len(out) == 0 {
-		t.Fatal("empty dump")
-	}
-	for _, want := range []string{"program complex", "b0", "L0", "header"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dump missing %q", want)
-		}
-	}
-	// One line per block plus loops plus header.
-	lines := strings.Count(out, "\n")
-	if lines < len(p.Blocks)+len(p.Loops) {
-		t.Errorf("dump has %d lines for %d blocks + %d loops", lines, len(p.Blocks), len(p.Loops))
 	}
 }

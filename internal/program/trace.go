@@ -10,10 +10,6 @@ import (
 // must return one element of succs.
 type Chooser func(block int, succs []int) int
 
-// FirstChooser always takes the first successor (the then-branch / first
-// case).
-func FirstChooser(_ int, succs []int) int { return succs[0] }
-
 // RandomChooser returns a Chooser drawing uniformly from the successors
 // using the given source.
 func RandomChooser(rng *rand.Rand) Chooser {

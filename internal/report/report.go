@@ -1,6 +1,6 @@
-// Package report renders analysis results as text: aligned tables, CSV
-// series and ASCII exceedance plots (the Figure 3 style). It is shared
-// by the command-line tools and tested independently of them.
+// Package report renders analysis results as text: aligned tables and
+// ASCII exceedance plots (the Figure 3 style). It is shared by the
+// command-line tools and tested independently of them.
 package report
 
 import (
@@ -37,19 +37,6 @@ func Table(w io.Writer, header []string, rows [][]string) error {
 	line(header)
 	for _, row := range rows {
 		line(row)
-	}
-	return nil
-}
-
-// CSV writes a header and rows as comma-separated values (cells must not
-// contain commas — analysis output never does).
-func CSV(w io.Writer, header []string, rows [][]string) error {
-	fmt.Fprintln(w, strings.Join(header, ","))
-	for _, row := range rows {
-		if len(row) != len(header) {
-			return fmt.Errorf("report: row has %d cells, header %d", len(row), len(header))
-		}
-		fmt.Fprintln(w, strings.Join(row, ","))
 	}
 	return nil
 }

@@ -35,21 +35,6 @@ func TestTableRowWidthChecked(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	var sb strings.Builder
-	err := CSV(&sb, []string{"x", "y"}, [][]string{{"1", "2"}, {"3", "4"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "x,y\n1,2\n3,4\n"
-	if sb.String() != want {
-		t.Errorf("CSV = %q, want %q", sb.String(), want)
-	}
-	if err := CSV(&sb, []string{"x"}, [][]string{{"1", "2"}}); err == nil {
-		t.Error("wide row accepted")
-	}
-}
-
 func TestExceedancePlot(t *testing.T) {
 	var sb strings.Builder
 	// A step curve: quantile 100 above 1e-4, then 900.

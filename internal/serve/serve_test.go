@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -293,7 +294,33 @@ func TestRateLimit(t *testing.T) {
 // mid-stream must not pin the pool — the engine is returned and the
 // next request (same program, MaxEngines=1) completes normally.
 func TestClientDisconnectDoesNotWedgePool(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Pool: PoolOptions{MaxEngines: 1}})
+	// The handler could stream every row before the client's cancel
+	// reaches it, leaving no disconnect to count. So the first batch is
+	// held after its first row (Now runs once per streamed row) until
+	// the server has seen its client leave.
+	var (
+		srv        *Server
+		firstBatch atomic.Pointer[context.Context]
+		held       atomic.Bool
+	)
+	srv = New(Options{Pool: PoolOptions{MaxEngines: 1}, Now: func() time.Time {
+		if srv.met.rowsStreamed.get() == 1 && held.CompareAndSwap(false, true) {
+			select {
+			case <-(*firstBatch.Load()).Done():
+			case <-time.After(5 * time.Second):
+			}
+		}
+		return time.Now()
+	}})
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/batch" {
+			ctx := r.Context()
+			firstBatch.CompareAndSwap(nil, &ctx)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
 	spec := `{"benchmarks":["adpcm"],"pfails":[1e-6,1e-5,1e-4,1e-3],"mechanisms":["none","rw","srb"]}`
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -322,7 +349,7 @@ func TestClientDisconnectDoesNotWedgePool(t *testing.T) {
 	if rows := readRows(t, resp2.Body); len(rows) != 12 {
 		t.Fatalf("post-disconnect rows %d, want 12", len(rows))
 	}
-	st := srv.Pool().Stats()
+	st := srv.pool.Stats()
 	if st.Engines > 1 {
 		t.Errorf("pool over bound after disconnect: %+v", st)
 	}
@@ -354,7 +381,7 @@ func TestPoolEvictionAndReuse(t *testing.T) {
 		}
 		readRows(t, resp.Body)
 	}
-	st := srv.Pool().Stats()
+	st := srv.pool.Stats()
 	if st.Engines > 2 {
 		t.Errorf("resident engines %d exceed MaxEngines 2", st.Engines)
 	}
@@ -480,7 +507,7 @@ func TestServiceChurnBoundedResidency(t *testing.T) {
 			t.Fatalf("%s: status %d", bench, resp.StatusCode)
 		}
 		readRows(t, resp.Body)
-		st := srv.Pool().Stats()
+		st := srv.pool.Stats()
 		if st.ArtifactBytes > bound {
 			t.Fatalf("after %s: resident %d bytes exceeds bound %d", bench, st.ArtifactBytes, bound)
 		}
@@ -488,7 +515,7 @@ func TestServiceChurnBoundedResidency(t *testing.T) {
 			peak = st.ArtifactBytes
 		}
 	}
-	st := srv.Pool().Stats()
+	st := srv.pool.Stats()
 	if st.Engines > maxEngines {
 		t.Errorf("resident engines %d exceed cap %d", st.Engines, maxEngines)
 	}

@@ -112,9 +112,6 @@ func New(opt Options) *Server {
 	}
 }
 
-// Pool exposes the server's engine pool (for stats and tests).
-func (s *Server) Pool() *Pool { return s.pool }
-
 // Handler returns the route mux:
 //
 //	POST /v1/batch       run a sweep spec, stream NDJSON rows
